@@ -1,9 +1,9 @@
 # cython: language_level=3, boundscheck=False, wraparound=False, initializedcheck=False, cdivision=True
-"""Compiled contraction kernels.
+"""Compiled contraction kernel.
 
-Only the two O(entries) inner loops live here: the trilinear right-hand-side
-accumulation and the quartic pairing.  _kernels_py holds the numpy mirrors
-with identical signatures; kernels.py selects between them at import time.
+Only the O(entries) inner loop of one right-hand-side evaluation lives here:
+the trilinear accumulation.  _kernels_py holds the numpy mirror with the
+identical signature; kernels.py selects between them at import time.
 """
 
 cdef extern from "complex.h" nogil:
@@ -20,15 +20,3 @@ def rhs_core(const double[::1] w, const unsigned int[::1] i1, const unsigned int
         for k in range(m):
             out[io[k]] = out[io[k]] + w[k] * c[i1[k]] * c[i2[k]] * cconj(c[ic[k]])
 
-
-def hamiltonian_core(const double[::1] w, const unsigned int[::1] a, const unsigned int[::1] b,
-                     const unsigned int[::1] c, const unsigned int[::1] d,
-                     const double complex[::1] cvec):
-    """Quartic pairing sum(w * c_a c_b conj(c_c c_d)) as a complex number."""
-    cdef double complex acc = 0.0
-    cdef Py_ssize_t k
-    cdef Py_ssize_t m = w.shape[0]
-    with nogil:
-        for k in range(m):
-            acc = acc + w[k] * cvec[a[k]] * cvec[b[k]] * cconj(cvec[c[k]] * cvec[d[k]])
-    return complex(acc)

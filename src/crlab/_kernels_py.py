@@ -1,8 +1,7 @@
-"""Pure-numpy mirrors of the compiled contraction kernels.
+"""Pure-numpy mirror of the compiled contraction kernel.
 
-Same call signatures and accumulation semantics as the extension module;
-kernels.py picks whichever imports.  The scatter-add goes through bincount,
-which is order-independent, so both entry orderings agree here to rounding.
+Same call signature and accumulation semantics as the extension module;
+kernels.py picks whichever imports.  The scatter-add goes through bincount.
 """
 
 import numpy as np
@@ -16,7 +15,3 @@ def rhs_core(w, i1, i2, ic, io, c, out):
     out += 1j * np.bincount(idx, weights=terms.imag, minlength=len(out))
     return out
 
-
-def hamiltonian_core(w, a, b, c, d, cvec):
-    """Quartic pairing sum(w * c_a c_b conj(c_c c_d)) as a complex number."""
-    return complex(np.sum(w * (cvec[a] * cvec[b] * np.conj(cvec[c] * cvec[d]))))

@@ -252,7 +252,6 @@ class CouplingTensor:
         self.weights = np.ascontiguousarray(weights, dtype=np.float64)
         self.constant = float(constant)
         self.ordering = "sorted-pairs"
-        self._index_map = None
 
     def __len__(self):
         return len(self.weights)
@@ -305,18 +304,6 @@ class CouplingTensor:
         if np.any(np.diff(key) <= 0):
             raise ValueError("entries must be unique and lexicographically sorted")
         return self
-
-    def weight_of(self, n1, n2, n3, n4):
-        """Weight of an arbitrary ordered quadruple (0.0 when absent),
-        canonicalizing through the within-pair symmetries."""
-        if self._index_map is None:
-            self._index_map = {
-                (int(a), int(b), int(c), int(d)): float(w)
-                for (a, b, c, d), w in zip(self.indices, self.weights)
-            }
-        a, b = sorted((int(n1), int(n2)))
-        c, d = sorted((int(n3), int(n4)))
-        return self._index_map.get((a, b, c, d), 0.0)
 
     def rescaled(self, factor):
         """Copy with every weight multiplied by factor.  Exists for harness

@@ -160,6 +160,16 @@ class Projector:
         return CoefficientState(state.family, state.coeffs * self.weights(state.family), state.time)
 
 
+def _real_quartic(values):
+    """Real part of quartic-form values, which are real by pair-exchange
+    symmetry; an imaginary residual beyond rounding means a broken tensor."""
+    values = np.asarray(values)
+    bad = np.abs(values.imag) > 1e-12 * np.maximum(1.0, np.abs(values.real))
+    if np.any(bad):
+        raise RuntimeError(f"quartic form imaginary residual {values.imag[bad][0]:.3e}")
+    return values.real
+
+
 def _require_match(state, tensor, proj=None):
     if state.family != tensor.family:
         raise ValueError(
@@ -176,13 +186,14 @@ def _require_match(state, tensor, proj=None):
 class FlowKernel:
     """One projected flow, prepared for repeated evaluation.
 
-    Holds the unfolded contraction plan with the projector's profile folded
-    into the weights, so rhs() and the conserved quartic form are single
-    kernel calls.  Build once per (tensor, projector) and reuse across an
-    ensemble; everything here is read-only after construction.
+    Holds the contraction plan with the projector's profile folded into the
+    weights, so rhs() and the conserved quartic form are single kernel calls,
+    for one coefficient vector or a whole ensemble matrix.  Build once per
+    (tensor, projector) and reuse across an ensemble; everything here is
+    read-only after construction.
     """
 
-    def __init__(self, tensor, projector, order="gathered"):
+    def __init__(self, tensor, projector):
         if projector.cutoff != tensor.cutoff:
             raise ValueError("projector cutoff does not match the tensor")
         self.tensor = tensor
@@ -190,10 +201,11 @@ class FlowKernel:
         self.family = tensor.family
         self.n_modes = tensor.cutoff + 1
         chi = None if projector.kind == "sharp" else projector.weights(tensor.family)
-        self.plan = kernels.build_plan(tensor, chi, order=order)
+        self.plan = kernels.build_plan(tensor, chi)
         self.eigenvalues = np.asarray(tensor.family.eigenvalue(np.arange(self.n_modes)))
 
     def contraction(self, c, out=None):
+        """The projected trilinear sum of a vector, or of each row of a matrix."""
         return kernels.rhs_apply(self.plan, c, out)
 
     def rhs(self, c):
@@ -201,11 +213,14 @@ class FlowKernel:
         return -1j * self.contraction(c)
 
     def hamiltonian(self, c):
-        """The projected quartic form (the flow's conserved Hamiltonian)."""
-        value = kernels.pairing_apply(self.plan, c)
-        if abs(value.imag) > 1e-12 * max(1.0, abs(value.real)):
-            raise RuntimeError(f"quartic form imaginary residual {value.imag:.3e}")
-        return value.real
+        """The projected quartic form (the flow's conserved Hamiltonian),
+        sum conj(c_n) contraction(c)_n."""
+        return float(_real_quartic(np.vdot(c, self.contraction(c))))
+
+    def hamiltonians(self, coeffs):
+        """The projected quartic form of every row of a (rows, n_modes) matrix."""
+        c = np.asarray(coeffs, dtype=np.complex128)
+        return _real_quartic(np.sum(np.conj(c) * self.contraction(c), axis=1))
 
     def conserved(self, c):
         """(mass, energy, hamiltonian) triple for the log."""
@@ -466,11 +481,7 @@ def hamiltonian(state, tensor):
     """Quartic form sum w c_{n1} c_{n2} conj(c_{n3}) conj(c_{n4}) over all
     ordered quadruples; real by pair-exchange symmetry (asserted)."""
     _require_match(state, tensor)
-    plan = kernels.build_plan(tensor)
-    value = kernels.pairing_apply(plan, state.coeffs)
-    if abs(value.imag) > 1e-12 * max(1.0, abs(value.real)):
-        raise RuntimeError(f"quartic form imaginary residual {value.imag:.3e}")
-    return value.real
+    return FlowKernel(tensor, Projector("sharp", tensor.cutoff)).hamiltonian(state.coeffs)
 
 
 def sobolev_norm(state, s):

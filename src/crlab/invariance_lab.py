@@ -84,7 +84,7 @@ class ObservableSet:
 
         def evaluate(coeffs):
             actions = coeffs.real ** 2 + coeffs.imag ** 2
-            ham = np.array([kernel.hamiltonian(row) for row in coeffs])
+            ham = kernel.hamiltonians(coeffs)
             cols = [
                 actions,
                 coeffs.real,
@@ -248,8 +248,8 @@ def invariance_test(spec, tensor, proj, t, n_samples, observables=None,
         worst_z = max(worst_z, abs(z))
         worst_p = min(worst_p, ks_p_adj)
 
-    h0 = np.array([kernel.hamiltonian(row) for row in c0])
-    h1 = np.array([kernel.hamiltonian(row) for row in c1])
+    h0 = kernel.hamiltonians(c0)
+    h1 = kernel.hamiltonians(c1)
     scale = np.maximum(np.abs(h0), np.finfo(float).tiny)
     drift = float(np.max(np.abs(h1 - h0) / scale))
     ref_rows, ref_vals = coupling.reference_weights(tensor)
@@ -403,16 +403,12 @@ def cauchy_study(sigma, cutoff, m_values, n_samples, seed=0, tensor=None, thread
     sob = lam ** (-float(sigma))
 
     c = measures.sample_ensemble(spec, n_samples, threads=threads)
-    sq = np.empty((n_samples, len(m_values)))
-    modes = np.arange(cutoff + 1)
-    for i in range(n_samples):
-        full = kernel.contraction(c[i])
-        for j, m in enumerate(m_values):
-            keep = modes <= m
-            masked = np.where(keep, c[i], 0.0)
-            tm = np.where(keep, kernel.contraction(masked), 0.0)
-            diff = full - tm
-            sq[i, j] = float(np.sum(sob * (diff.real ** 2 + diff.imag ** 2)))
+    keep = (np.arange(cutoff + 1) <= np.asarray(m_values)[:, None])[:, None, :]
+    # the full input and every masked one, all samples, in one contraction
+    inputs = np.concatenate([c[None], np.where(keep, c, 0.0)])
+    outputs = kernel.contraction(inputs.reshape(-1, cutoff + 1)).reshape(inputs.shape)
+    diff = outputs[0] - np.where(keep, outputs[1:], 0.0)
+    sq = np.sum(sob * (diff.real ** 2 + diff.imag ** 2), axis=-1).T
 
     means = sq.mean(axis=0)
     stderrs = sq.std(axis=0, ddof=1) / math.sqrt(n_samples)

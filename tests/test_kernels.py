@@ -9,9 +9,12 @@ import numpy as np
 import pytest
 
 import crlab
-from crlab.basis import HOLOMORPHIC, eigenspace
+from crlab.basis import HOLOMORPHIC, RADIAL, eigenspace
 from crlab.coupling import alpha_hol, build_tensor
-from crlab.kernels import backend_name, build_plan, pairing_apply, rhs_apply
+from crlab.dynamics import FlowKernel, Projector
+from crlab.invariance_lab import cauchy_study
+from crlab.kernels import BLOCK_ROWS, backend_name, build_plan, rhs_apply
+from crlab.measures import MeasureSpec, sample_ensemble
 
 
 def brute_rhs(c, cutoff, weight):
@@ -36,10 +39,39 @@ def brute_quartic(c, cutoff, weight):
     return total
 
 
+def coo_weight(tensor):
+    """Weight of any ordered quadruple, looked up in the COO tensor."""
+    table = {tuple(int(k) for k in row): float(w) for row, w in zip(tensor.indices, tensor.weights)}
+
+    def weight(n1, n2, n3, n4):
+        return table.get(tuple(sorted((n1, n2))) + tuple(sorted((n3, n4))), 0.0)
+
+    return weight
+
+
+def brute_eigenspace_rhs(c, tensor):
+    # no convolution constraint inside one eigenspace: sum over all stored
+    # quadruples, with both index pairs unordered
+    n = tensor.cutoff + 1
+    weight = coo_weight(tensor)
+    out = np.zeros(n, dtype=np.complex128)
+    for n1 in range(n):
+        for n2 in range(n):
+            for n3 in range(n):
+                for n4 in range(n):
+                    out[n4] += weight(n1, n2, n3, n4) * c[n1] * c[n2] * np.conj(c[n3])
+    return out
+
+
 def random_state(cutoff, seed=0):
     rng = np.random.default_rng(seed)
     c = rng.standard_normal(cutoff + 1) + 1j * rng.standard_normal(cutoff + 1)
     return np.ascontiguousarray(c, dtype=np.complex128)
+
+
+def random_rows(rows, cutoff, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((rows, cutoff + 1)) + 1j * rng.standard_normal((rows, cutoff + 1))
 
 
 def test_backend_name_valid():
@@ -56,15 +88,17 @@ def test_rhs_matches_brute_force_holomorphic():
     assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
-def test_pairing_matches_brute_force():
+def test_hamiltonian_matches_brute_force():
     cutoff = 6
     tensor = build_tensor(HOLOMORPHIC, cutoff)
-    plan = build_plan(tensor)
+    kernel = FlowKernel(tensor, Projector("sharp", cutoff))
     c = random_state(cutoff, seed=5)
-    got = pairing_apply(plan, c)
     want = brute_quartic(c, cutoff, alpha_hol)
-    assert abs(got - want) < 1e-11 * abs(want)
-    assert abs(got.imag) < 1e-12 * abs(got.real)
+    rows = np.vstack([c, random_rows(2, cutoff, seed=6)])
+    for got in (kernel.hamiltonian(c), kernel.hamiltonians(rows)[0]):
+        assert abs(got - want) < 1e-11 * abs(want)
+    for value in (np.vdot(c, kernel.contraction(c)), np.vdot(c, kernel.contraction(rows)[0])):
+        assert abs(value.imag) < 1e-12 * abs(value.real)
 
 
 def test_mode_weights_scale_inputs_and_outputs():
@@ -79,28 +113,69 @@ def test_mode_weights_scale_inputs_and_outputs():
 
 
 def test_eigenspace_plan_contracts():
-    # no convolution constraint inside one eigenspace: sum over all stored
-    # quadruples, with both index pairs unordered
     tensor = build_tensor(eigenspace(3), 3)
     plan = build_plan(tensor)
     c = random_state(3, seed=2)
-
-    def w(n1, n2, n3, n4):
-        rows = tensor.indices
-        a, b = sorted((n1, n2)), sorted((n3, n4))
-        hit = np.all(rows == np.array(a + b, dtype=rows.dtype), axis=1)
-        if hit.any():
-            return float(tensor.weights[hit][0])
-        return 0.0
-
-    want = np.zeros(4, dtype=np.complex128)
-    for n1 in range(4):
-        for n2 in range(4):
-            for n3 in range(4):
-                for n4 in range(4):
-                    want[n4] += w(n1, n2, n3, n4) * c[n1] * c[n2] * np.conj(c[n3])
     got = rhs_apply(plan, c)
-    assert np.allclose(got, want, rtol=1e-10, atol=1e-12)
+    assert np.allclose(got, brute_eigenspace_rhs(c, tensor), rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("family,cutoff,kind", [
+    (HOLOMORPHIC, 7, "sharp"),
+    (RADIAL, 6, "smooth"),
+    # two pairs of one parity block can share an output mode
+    (eigenspace(4), 4, "sharp"),
+])
+def test_batched_contraction_matches_brute_force(family, cutoff, kind):
+    tensor = build_tensor(family, cutoff)
+    proj = Projector(kind, cutoff)
+    chi = proj.weights(family)
+    kernel = FlowKernel(tensor, proj)
+    rows = random_rows(BLOCK_ROWS + 3, cutoff, seed=4)  # a full chunk and a padded one
+    got = kernel.contraction(rows)
+    assert got.shape == rows.shape
+    weight = alpha_hol if family == HOLOMORPHIC else coo_weight(tensor)
+    for c, g in zip(rows, got):
+        if family.kind == "eigenspace":
+            want = brute_eigenspace_rhs(c, tensor)
+        else:
+            want = chi * brute_rhs(chi * c, cutoff, weight)
+        assert np.allclose(g, want, rtol=1e-12, atol=1e-12)
+
+
+def test_batched_rows_bitwise_independent_of_batch():
+    # at this size BLAS rounds a lone unpadded row differently (it does not at 16)
+    tensor = build_tensor(HOLOMORPHIC, 32)
+    kernel = FlowKernel(tensor, Projector("sharp", 32))
+    full = random_rows(BLOCK_ROWS, 32, seed=7)
+    row = full[5]
+    alone = kernel.contraction(row[None])[0]
+    in_chunk = kernel.contraction(full)[5]
+    other = random_rows(2 * BLOCK_ROWS + 9, 32, seed=8)
+    other[BLOCK_ROWS + 40] = row
+    elsewhere = kernel.contraction(other)[BLOCK_ROWS + 40]
+    assert np.array_equal(alone, in_chunk)
+    assert np.array_equal(alone, elsewhere)
+    assert kernel.hamiltonians(row[None])[0] == kernel.hamiltonians(other)[BLOCK_ROWS + 40]
+
+
+def test_cauchy_study_matches_per_row_loop():
+    cutoff, m_values, n = 12, [2, 4, 8], 70
+    got = cauchy_study(1.5, cutoff, m_values, n, seed=3)
+    tensor = build_tensor(HOLOMORPHIC, cutoff)
+    kernel = FlowKernel(tensor, Projector("sharp", cutoff))
+    sob = np.asarray(kernel.eigenvalues, dtype=np.float64) ** -1.5
+    c = sample_ensemble(MeasureSpec("white-noise", HOLOMORPHIC, cutoff, seed=3), n)
+    modes = np.arange(cutoff + 1)
+    sq = np.empty((n, len(m_values)))
+    for i in range(n):
+        full = kernel.contraction(c[i])
+        for j, m in enumerate(m_values):
+            keep = modes <= m
+            diff = full - np.where(keep, kernel.contraction(np.where(keep, c[i], 0.0)), 0.0)
+            sq[i, j] = np.sum(sob * np.abs(diff) ** 2)
+    assert np.allclose(got["means"], sq.mean(axis=0), rtol=1e-12, atol=0)
+    assert np.allclose(got["stderrs"], sq.std(axis=0, ddof=1) / np.sqrt(n), rtol=1e-12, atol=0)
 
 
 def test_rhs_bitwise_deterministic():
