@@ -34,6 +34,7 @@ from .dynamics import (
     Projector,
     FlowKernel,
     GridResolutionError,
+    NumericalError,
     evolve,
     rhs,
     mass,
@@ -63,7 +64,6 @@ from .invariance_lab import (
     cauchy_study,
     concentration_study,
 )
-from .kernels import backend_name
 
 __all__ = [
     "__version__",
@@ -88,6 +88,7 @@ __all__ = [
     "Projector",
     "FlowKernel",
     "GridResolutionError",
+    "NumericalError",
     "evolve",
     "rhs",
     "mass",
@@ -112,5 +113,4 @@ __all__ = [
     "recurrence_experiment",
     "cauchy_study",
     "concentration_study",
-    "backend_name",
 ]

@@ -7,7 +7,8 @@ resolved config next to its primary output.  Timestamps and environment
 details go to a separate metadata sidecar, so two runs with identical
 resolved configs produce byte-identical data outputs.
 
-Exit codes: 0 = success / PASS, 2 = statistical FAIL, 3 = config error.
+Exit codes: 0 = success / PASS, 2 = statistical FAIL, 3 = config error,
+4 = numerical error.
 """
 
 import argparse
@@ -23,9 +24,8 @@ import numpy as np
 from . import __version__, coupling, dynamics, measures
 from . import invariance_lab as lab
 from .basis import family_from_label, norm_decay_study
-from .dynamics import IntegratorConfig, Projector, state_from_dict, state_to_dict
+from .dynamics import IntegratorConfig, NumericalError, Projector, state_from_dict, state_to_dict
 from .invariance_lab import ConfigError
-from .kernels import backend_name
 from .measures import GibbsStallError, MeasureSpec
 
 __all__ = ["run", "main"]
@@ -41,8 +41,8 @@ class _Parser(argparse.ArgumentParser):
 
 # Schema per subcommand: key -> default.  None means "derive later" or
 # "optional".  Config files and flags may only set keys listed here; the
-# worker-pool size and config-file path are execution details, recorded in
-# the metadata sidecar instead of the resolved config.
+# config-file path is an execution detail and stays out of the resolved
+# config.
 
 _SCHEMAS = {
     "tensor": {
@@ -165,13 +165,10 @@ def _build_parser():
     subs = parser.add_subparsers(dest="subcommand", required=True,
                                  parser_class=_Parser)
 
-    def cmd(name, help_text, threads=False):
+    def cmd(name, help_text):
         p = subs.add_parser(name, help=help_text)
         p.add_argument("--config", default=None,
                        help="JSON config file; explicit flags take precedence")
-        if threads:
-            p.add_argument("--threads", type=int, default=None,
-                           help="worker pool cap (results are thread-independent)")
         return p
 
     p = cmd("tensor", "build a coupling tensor and save the binary cache")
@@ -201,8 +198,7 @@ def _build_parser():
     p.add_argument("--state-out", dest="state_out", default=None,
                    help="final state JSON")
 
-    p = cmd("sample", "draw measure samples to newline-delimited JSON",
-            threads=True)
+    p = cmd("sample", "draw measure samples to newline-delimited JSON")
     p.add_argument("--kind", choices=measures.KINDS, default=None)
     p.add_argument("--family", default=None)
     p.add_argument("--n", "--cutoff", dest="cutoff", type=int, default=None)
@@ -218,8 +214,7 @@ def _build_parser():
     p.add_argument("--thin", type=int, default=None)
     p.add_argument("--out", default=None)
 
-    p = cmd("invariance", "paired before/after ensemble test of flow invariance",
-            threads=True)
+    p = cmd("invariance", "paired before/after ensemble test of flow invariance")
     p.add_argument("--measure", choices=measures.KINDS, default=None)
     p.add_argument("--family", default=None)
     p.add_argument("--n", "--cutoff", dest="cutoff", type=int, default=None)
@@ -240,8 +235,7 @@ def _build_parser():
                    help="omit the per-sample tables from the report")
     p.add_argument("--report", default=None)
 
-    p = cmd("recurrence", "running-minimum return distances on eigenspace orbits",
-            threads=True)
+    p = cmd("recurrence", "running-minimum return distances on eigenspace orbits")
     p.add_argument("--level", type=int, default=None)
     p.add_argument("--t-max", dest="t_max", type=float, default=None)
     p.add_argument("--dt", type=float, default=None)
@@ -250,8 +244,7 @@ def _build_parser():
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
 
-    p = cmd("cauchy", "truncation Cauchy decay in a negative Sobolev norm",
-            threads=True)
+    p = cmd("cauchy", "truncation Cauchy decay in a negative Sobolev norm")
     p.add_argument("--sigma", type=float, default=None)
     p.add_argument("--n", "--cutoff", dest="cutoff", type=int, default=None)
     p.add_argument("--m-values", dest="m_values", default=None,
@@ -281,8 +274,7 @@ def _build_parser():
     p.add_argument("--npoints", type=int, default=None)
     p.add_argument("--out", default=None)
 
-    p = cmd("tails", "survival-curve fit of a functional under a measure",
-            threads=True)
+    p = cmd("tails", "survival-curve fit of a functional under a measure")
     p.add_argument("--kind", choices=measures.KINDS, default=None)
     p.add_argument("--family", default=None)
     p.add_argument("--n", "--cutoff", dest="cutoff", type=int, default=None)
@@ -430,7 +422,7 @@ def _write_csv(path, header, rows):
 # subcommand implementations: resolved config -> (summary, exit code, outputs)
 
 
-def _cmd_tensor(resolved, threads):
+def _cmd_tensor(resolved):
     family = _family(resolved)
     cutoff = int(_require(resolved, "cutoff"))
     out = _require(resolved, "out")
@@ -441,7 +433,7 @@ def _cmd_tensor(resolved, threads):
     return summary, 0, [out]
 
 
-def _cmd_evolve(resolved, threads):
+def _cmd_evolve(resolved):
     with open(_require(resolved, "init"), "r", encoding="utf-8") as fh:
         state = state_from_dict(json.load(fh))
     family = _family(resolved, fallback=state.family.label)
@@ -492,7 +484,7 @@ def _measure_spec(resolved, kind_key="kind"):
                        experimental=bool(resolved.get("experimental") or False))
 
 
-def _cmd_sample(resolved, threads):
+def _cmd_sample(resolved):
     spec = _measure_spec(resolved)
     tensor = None
     if spec.kind == "gibbs":
@@ -506,8 +498,7 @@ def _cmd_sample(resolved, threads):
             burn_in=int(resolved["burn_in"]), thin=int(resolved["thin"]))
     else:
         coeffs = measures.sample_ensemble(
-            spec, int(_require(resolved, "count")), tensor=tensor,
-            start_index=start, threads=threads)
+            spec, int(_require(resolved, "count")), tensor=tensor, start_index=start)
 
     out = _require(resolved, "out")
     with open(out, "w", encoding="utf-8") as fh:
@@ -525,7 +516,7 @@ _DEFAULT_PROJECTOR = {"white-noise": "sharp", "eigenspace": "sharp",
                       "gibbs": "smooth", "gaussian-free": "smooth"}
 
 
-def _cmd_invariance(resolved, threads):
+def _cmd_invariance(resolved):
     spec = _measure_spec(resolved, kind_key="measure")
     kind = resolved.get("projector") or _DEFAULT_PROJECTOR[spec.kind]
     tensor = _tensor_for(resolved, spec.family, spec.cutoff)
@@ -533,7 +524,7 @@ def _cmd_invariance(resolved, threads):
     report = lab.invariance_test(
         spec, tensor, proj, float(_require(resolved, "t")),
         int(_require(resolved, "samples")), config=_integrator(resolved),
-        threads=threads, start_index=int(resolved["start_index"]))
+        start_index=int(resolved["start_index"]))
 
     out = _require(resolved, "report")
     with open(out, "w", encoding="utf-8") as fh:
@@ -549,12 +540,11 @@ def _cmd_invariance(resolved, threads):
     return summary, 0 if report.verdict == "PASS" else 2, [out]
 
 
-def _cmd_recurrence(resolved, threads):
+def _cmd_recurrence(resolved):
     result = lab.recurrence_experiment(
         int(_require(resolved, "level")), float(_require(resolved, "t_max")),
         float(_require(resolved, "dt")), int(_require(resolved, "samples")),
-        theta=float(resolved["theta"]), seed=int(resolved["seed"]),
-        threads=threads)
+        theta=float(resolved["theta"]), seed=int(resolved["seed"]))
     out = _require(resolved, "out")
     _write_json(out, result)
     summary = (f"recurrence level={resolved['level']} t_max={resolved['t_max']!r} "
@@ -564,11 +554,11 @@ def _cmd_recurrence(resolved, threads):
     return summary, 0, [out]
 
 
-def _cmd_cauchy(resolved, threads):
+def _cmd_cauchy(resolved):
     result = lab.cauchy_study(
         float(_require(resolved, "sigma")), int(_require(resolved, "cutoff")),
         _int_list(resolved, "m_values"), int(_require(resolved, "samples")),
-        seed=int(resolved["seed"]), threads=threads)
+        seed=int(resolved["seed"]))
     out = _require(resolved, "out")
     _write_json(out, result)
     ok = result["monotone_beyond_2se"] and result["slope"] < 0
@@ -579,7 +569,7 @@ def _cmd_cauchy(resolved, threads):
     return summary, 0 if ok else 2, [out]
 
 
-def _cmd_concentration(resolved, threads):
+def _cmd_concentration(resolved):
     result = lab.concentration_study(
         _int_list(resolved, "levels"), int(_require(resolved, "samples")),
         seed=int(resolved["seed"]), n_radial=resolved.get("n_radial"),
@@ -605,7 +595,7 @@ def _parse_p(resolved):
         raise ConfigError("p: expected a number or 'inf'") from exc
 
 
-def _cmd_norms(resolved, threads):
+def _cmd_norms(resolved):
     result = norm_decay_study(
         _family(resolved), _parse_p(resolved), _int_list(resolved, "n_values"),
         log_correction=bool(resolved["log_correction"]),
@@ -621,7 +611,7 @@ def _cmd_norms(resolved, threads):
     return summary, 0, [out]
 
 
-def _cmd_tails(resolved, threads):
+def _cmd_tails(resolved):
     spec = _measure_spec(resolved)
     tensor = None
     if spec.kind == "gibbs":
@@ -631,7 +621,7 @@ def _cmd_tails(resolved, threads):
         lambdas=_float_list(resolved, "lambdas"),
         n_samples=int(_require(resolved, "samples")), tensor=tensor,
         min_tail_hits=int(resolved["min_tail_hits"]),
-        grid_points=int(resolved["grid_points"]), threads=threads)
+        grid_points=int(resolved["grid_points"]))
     out = _require(resolved, "out")
     _write_json(out, result)
     summary = (f"tails kind={spec.kind} cutoff={spec.cutoff} "
@@ -640,7 +630,7 @@ def _cmd_tails(resolved, threads):
     return summary, 0, [out]
 
 
-def _cmd_oracle_check(resolved, threads):
+def _cmd_oracle_check(resolved):
     _family(resolved)  # only the holomorphic oracle exists; choices enforce it
     max_index = int(_require(resolved, "max_index"))
     constant, spread, count = coupling.proportionality_constant(max_index)
@@ -676,11 +666,10 @@ def run(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     name = args.subcommand
-    threads = getattr(args, "threads", None)
     started = time.time()
     try:
         resolved = _resolve(args, _SCHEMAS[name])
-        summary, code, outputs = _COMMANDS[name](resolved, threads)
+        summary, code, outputs = _COMMANDS[name](resolved)
         if outputs:
             primary = outputs[0]
             _write_json(f"{primary}.config.json",
@@ -690,8 +679,6 @@ def run(argv=None):
                 "elapsed_seconds": round(time.time() - started, 3),
                 "package_version": __version__,
                 "tensor_cache_format": coupling.CACHE_VERSION,
-                "kernel_backend": backend_name(),
-                "threads": threads,
                 "outputs": list(outputs),
             })
     except ConfigError as exc:
@@ -703,6 +690,9 @@ def run(argv=None):
     except GibbsStallError as exc:
         print(f"crlab {name}: {exc}", file=sys.stderr)
         return 2
+    except NumericalError as exc:
+        print(f"crlab {name}: numerical error: {exc}", file=sys.stderr)
+        return 4
     print(summary)
     return code
 

@@ -51,8 +51,6 @@ __all__ = [
     "CouplingTensor",
     "load_tensor",
     "reference_weights",
-    "lemma_sum_check",
-    "scaled_falling_factorial",
     "CACHE_MAGIC",
     "CACHE_VERSION",
 ]
@@ -487,34 +485,3 @@ def reference_weights(tensor, rows=None):
         [oracle_coupling(tensor.family, *quad, rule=rule) for quad in idx], dtype=np.float64
     )
     return rows, ref / tensor.constant
-
-
-def lemma_sum_check(n, K):
-    """Partial sum sum_{k=n}^{K} 2^{-k} C(k, n) through log-binomials.
-
-    The full series equals 2 for every n >= 0, and the partial sums increase
-    towards it, so 2 - value bounds the truncation tail.  This is the
-    combinatorial identity behind summability of the coupling weights along
-    the resonance diagonals.
-    """
-    n = int(n)
-    K = int(K)
-    if not 0 <= n <= K:
-        raise ValueError("need 0 <= n <= K")
-    k = np.arange(n, K + 1, dtype=np.float64)
-    logs = gammaln(k + 1.0) - gammaln(n + 1.0) - gammaln(k - n + 1.0) - k * _LN2
-    return float(np.exp(logs).sum())
-
-
-def scaled_falling_factorial(L, p):
-    """L! / (2^L (L-p)!) via log-gamma.
-
-    For p <= sqrt(L) this stays below a fixed multiple of 2^{-L/2}: the
-    falling factorial grows like L^p = e^{sqrt(L) log L}, slower than the
-    half-exponential 2^{L/2} recovered from the prefactor.
-    """
-    L = int(L)
-    p = int(p)
-    if p < 0 or p > L:
-        raise ValueError("need 0 <= p <= L")
-    return math.exp(gammaln(L + 1.0) - gammaln(L - p + 1.0) - L * _LN2)

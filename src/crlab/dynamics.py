@@ -41,6 +41,7 @@ __all__ = [
     "Projector",
     "cutoff_profile",
     "FlowKernel",
+    "NumericalError",
     "EvolveResult",
     "ConservationLog",
     "rhs",
@@ -55,6 +56,12 @@ __all__ = [
     "state_to_dict",
     "state_from_dict",
 ]
+
+
+class NumericalError(RuntimeError):
+    """The integrator or the quartic form broke down numerically: step-size
+    underflow, a non-finite state, a non-converging implicit solve, or an
+    imaginary quartic-form residual beyond rounding."""
 
 
 @dataclass
@@ -166,7 +173,7 @@ def _real_quartic(values):
     values = np.asarray(values)
     bad = np.abs(values.imag) > 1e-12 * np.maximum(1.0, np.abs(values.real))
     if np.any(bad):
-        raise RuntimeError(f"quartic form imaginary residual {values.imag[bad][0]:.3e}")
+        raise NumericalError(f"quartic form imaginary residual {values.imag[bad][0]:.3e}")
     return values.real
 
 
@@ -302,7 +309,7 @@ def _dopri5(fun, c, span, config, observer):
     while (t_end - t) * direction > 0:
         h = min(h, abs(t_end - t))
         if h < 16 * np.finfo(float).eps * max(abs(t), abs(t_end)) or h == 0.0:
-            raise RuntimeError(f"step size underflow at t={t:.6g}")
+            raise NumericalError(f"step size underflow at t={t:.6g}")
         hs = h * direction
         for i in range(5):
             acc = _DP_A[i][0] * k[0]
@@ -314,7 +321,7 @@ def _dopri5(fun, c, span, config, observer):
         )
         k[6] = fun(c_new)
         if not np.all(np.isfinite(c_new.view(np.float64))):
-            raise RuntimeError(f"state became non-finite during step at t={t:.6g}")
+            raise NumericalError(f"state became non-finite during step at t={t:.6g}")
         delta = hs * (
             _DP_E[0] * k[0] + _DP_E[2] * k[2] + _DP_E[3] * k[3] + _DP_E[4] * k[4]
             + _DP_E[5] * k[5] + _DP_E[6] * k[6]
@@ -352,10 +359,10 @@ def _implicit_midpoint(fun, c, span, config, observer):
             if shift <= 1e-14 * (1.0 + float(np.max(np.abs(mid)))):
                 break
         else:
-            raise RuntimeError("implicit midpoint iteration failed to converge; reduce max_step")
+            raise NumericalError("implicit midpoint iteration failed to converge; reduce max_step")
         c = 2.0 * mid - c
         if not np.all(np.isfinite(c.view(np.float64))):
-            raise RuntimeError(f"state became non-finite during step at t={t:.6g}")
+            raise NumericalError(f"state became non-finite during step at t={t:.6g}")
         t += h
         if observer is not None:
             observer(t, c)

@@ -165,29 +165,8 @@ def _check_consistency(spec, tensor, proj):
             raise ConfigError("white noise is matched to the sharp truncation")
 
 
-def _evolve_rows(kernel, rows, t, config, threads=None):
-    out = np.empty_like(rows)
-
-    def run(lo, hi):
-        for i in range(lo, hi):
-            out[i] = kernel.evolve(rows[i], t, config)
-
-    n = len(rows)
-    if threads and threads > 1 and n > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        n_workers = min(threads, n)
-        bounds = np.linspace(0, n, n_workers + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            for f in [pool.submit(run, bounds[k], bounds[k + 1]) for k in range(n_workers)]:
-                f.result()
-    else:
-        run(0, n)
-    return out
-
-
 def invariance_test(spec, tensor, proj, t, n_samples, observables=None,
-                    config=None, threads=None, start_index=0):
+                    config=None, start_index=0):
     """Evolve an ensemble from the measure and test that observable marginals
     are unchanged.  Returns an EnsembleReport whose verdict is PASS when
     every |z| < 4 and every Bonferroni-adjusted KS p-value exceeds 0.001.
@@ -210,11 +189,11 @@ def invariance_test(spec, tensor, proj, t, n_samples, observables=None,
     if observables is None:
         observables = ObservableSet.standard(kernel)
 
-    c0 = measures.sample_ensemble(
-        spec, n_samples, tensor=tensor, projector=proj,
-        start_index=start_index, threads=threads,
-    )
-    c1 = _evolve_rows(kernel, c0, t, config, threads)
+    c0 = measures.sample_ensemble(spec, n_samples, tensor=tensor, projector=proj,
+                                  start_index=start_index)
+    c1 = np.empty_like(c0)
+    for i in range(n_samples):
+        c1[i] = kernel.evolve(c0[i], t, config)
 
     t0 = observables.evaluate(c0)
     t1 = observables.evaluate(c1)
@@ -295,7 +274,7 @@ def invariance_test(spec, tensor, proj, t, n_samples, observables=None,
 
 
 def recurrence_experiment(level, t_max, dt, n_samples, theta=0.1, seed=0,
-                          tensor=None, config=None, threads=None):
+                          tensor=None, config=None):
     """Watch eigenspace orbits come back: for each sample from the level-N
     eigenspace measure, record d(t) = ||c(t) - c(0)||_2 on a dt-spaced time
     grid and its running minimum.
@@ -324,26 +303,13 @@ def recurrence_experiment(level, t_max, dt, n_samples, theta=0.1, seed=0,
 
     n_steps = int(math.ceil(t_max / dt - 1e-9))
     times = dt * np.arange(1, n_steps + 1)
-    c0 = measures.sample_ensemble(spec, n_samples, threads=threads)
+    c0 = measures.sample_ensemble(spec, n_samples)
     distances = np.empty((n_samples, n_steps))
-
-    def run(lo, hi):
-        for i in range(lo, hi):
-            c = c0[i]
-            for k in range(n_steps):
-                c = kernel.evolve(c, dt, config)
-                distances[i, k] = float(np.linalg.norm(c - c0[i]))
-
-    if threads and threads > 1 and n_samples > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        n_workers = min(threads, n_samples)
-        bounds = np.linspace(0, n_samples, n_workers + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            for f in [pool.submit(run, bounds[k], bounds[k + 1]) for k in range(n_workers)]:
-                f.result()
-    else:
-        run(0, n_samples)
+    for i in range(n_samples):
+        c = c0[i]
+        for k in range(n_steps):
+            c = kernel.evolve(c, dt, config)
+            distances[i, k] = float(np.linalg.norm(c - c0[i]))
 
     running_min = np.minimum.accumulate(distances, axis=1)
     norms0 = np.linalg.norm(c0, axis=1)
@@ -377,7 +343,7 @@ def recurrence_experiment(level, t_max, dt, n_samples, theta=0.1, seed=0,
     }
 
 
-def cauchy_study(sigma, cutoff, m_values, n_samples, seed=0, tensor=None, threads=None):
+def cauchy_study(sigma, cutoff, m_values, n_samples, seed=0, tensor=None):
     """Monte Carlo E || T_N(u) - T_M(u) ||^2 in H^{-sigma} under white noise.
 
     T_M masks the input to modes <= M, applies the full trilinear
@@ -402,7 +368,7 @@ def cauchy_study(sigma, cutoff, m_values, n_samples, seed=0, tensor=None, thread
     lam = np.asarray(kernel.eigenvalues, dtype=np.float64)
     sob = lam ** (-float(sigma))
 
-    c = measures.sample_ensemble(spec, n_samples, threads=threads)
+    c = measures.sample_ensemble(spec, n_samples)
     keep = (np.arange(cutoff + 1) <= np.asarray(m_values)[:, None])[:, None, :]
     # the full input and every masked one, all samples, in one contraction
     inputs = np.concatenate([c[None], np.where(keep, c, 0.0)])

@@ -1,13 +1,11 @@
-"""Backend selection and contraction plans for the truncated flows.
+"""Contraction plans for the truncated flows.
 
 The single hot operation of the whole package is the trilinear contraction
 behind every right-hand-side evaluation.  It comes in two forms that compute
 the same sums:
 
-- one coefficient vector: sparse accumulation rows, O(entries) per call.  A
-  compiled extension provides the loop when built; a pure-numpy mirror with
-  identical semantics is selected at import time when the extension is
-  unavailable or CRLAB_FORCE_NUMPY is set.
+- one coefficient vector: sparse accumulation rows, O(entries) per call,
+  scatter-added through bincount.
 - a (rows, n_modes) matrix: dense resonance blocks contracted by GEMM over
   fixed-height chunks of rows.  Every stored entry couples two canonical
   pairs of one block (equal n1 + n2 on the chains, equal parity of n1 + n2
@@ -17,35 +15,15 @@ A ContractionPlan holds both: the flat accumulation rows and the blocks,
 with every per-mode cutoff factor folded into their weights.
 """
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
-if os.environ.get("CRLAB_FORCE_NUMPY"):
-    from . import _kernels_py as _impl
-
-    BACKEND = "numpy"
-else:
-    try:
-        from . import _core as _impl
-
-        BACKEND = "compiled"
-    except ImportError:
-        from . import _kernels_py as _impl
-
-        BACKEND = "numpy"
-
 # Rows per block contraction.  Every GEMM has this fixed shape, padded with
 # zero rows, so a row's result is bitwise the same whatever the batch it came
 # in and whatever its slot: BLAS gives no such guarantee across shapes.
 BLOCK_ROWS = 64
-
-
-def backend_name():
-    """Which kernel implementation this process is using."""
-    return BACKEND
 
 
 @dataclass
@@ -199,6 +177,15 @@ def _rhs_blocks(plan, c, out):
     return out
 
 
+def _rhs_core(w, i1, i2, ic, io, c, out):
+    """Accumulate out[io] += w * c[i1] * c[i2] * conj(c[ic]) over all rows."""
+    terms = w * (c[i1] * c[i2] * np.conj(c[ic]))
+    idx = np.asarray(io, dtype=np.intp)
+    out += np.bincount(idx, weights=terms.real, minlength=len(out))
+    out += 1j * np.bincount(idx, weights=terms.imag, minlength=len(out))
+    return out
+
+
 def rhs_apply(plan, c, out=None):
     """Trilinear contraction sum_{n1+n2-n3=n} w c_{n1} c_{n2} conj(c_{n3}).
 
@@ -218,5 +205,5 @@ def rhs_apply(plan, c, out=None):
         out = np.zeros(plan.n_modes, dtype=np.complex128)
     else:
         out[:] = 0.0
-    _impl.rhs_core(plan.w, plan.in1, plan.in2, plan.conj, plan.out, c, out)
+    _rhs_core(plan.w, plan.in1, plan.in2, plan.conj, plan.out, c, out)
     return out

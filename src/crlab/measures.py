@@ -15,7 +15,7 @@ rejection rate collapses.
 
 Every sample is drawn from its own counter-based stream keyed by
 (seed, sample index), so ensembles are reproducible under any execution
-order or thread count.
+order, batch split or start index.
 """
 
 import math
@@ -186,35 +186,19 @@ def sample(spec, index=0, tensor=None, projector=None):
     return CoefficientState(spec.family, c)
 
 
-def sample_ensemble(spec, count, tensor=None, projector=None, start_index=0, threads=None):
-    """count draws as a complex matrix, row i from stream start_index + i.
-
-    The result is independent of threads (each row has its own stream)."""
+def sample_ensemble(spec, count, tensor=None, projector=None, start_index=0):
+    """count draws as a complex matrix, row i from stream start_index + i."""
     if count <= 0:
         raise ValueError("count must be positive")
     scale = _base_scale(spec)
     kernel = _gibbs_weight(spec, tensor, projector) if spec.kind == "gibbs" else None
     out = np.empty((count, spec.n_modes), dtype=np.complex128)
-
-    def fill(lo, hi):
-        for i in range(lo, hi):
-            if kernel is not None:
-                out[i] = _draw_gibbs(spec, start_index + i, kernel, scale)
-            else:
-                rng = _stream(spec.seed, start_index + i)
-                out[i] = scale * _complex_gaussians(rng, spec.n_modes)
-
-    if threads and threads > 1 and count > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        n_workers = min(threads, count)
-        bounds = np.linspace(0, count, n_workers + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            futures = [pool.submit(fill, bounds[k], bounds[k + 1]) for k in range(n_workers)]
-            for f in futures:
-                f.result()
-    else:
-        fill(0, count)
+    for i in range(count):
+        if kernel is not None:
+            out[i] = _draw_gibbs(spec, start_index + i, kernel, scale)
+        else:
+            rng = _stream(spec.seed, start_index + i)
+            out[i] = scale * _complex_gaussians(rng, spec.n_modes)
     return out
 
 
@@ -307,7 +291,7 @@ def _functional_values(spec, coeffs, functional, grid_points):
 
 
 def tail_study(spec, functional, lambdas=None, n_samples=2000, tensor=None,
-               projector=None, min_tail_hits=20, grid_points=256, threads=None):
+               projector=None, min_tail_hits=20, grid_points=256):
     """Empirical log-survival curve of a norm functional, with a sub-Gaussian
     fit.
 
@@ -320,7 +304,7 @@ def tail_study(spec, functional, lambdas=None, n_samples=2000, tensor=None,
     """
     if functional not in FUNCTIONALS:
         raise ValueError(f"functional must be one of {FUNCTIONALS}")
-    coeffs = sample_ensemble(spec, n_samples, tensor, projector, threads=threads)
+    coeffs = sample_ensemble(spec, n_samples, tensor, projector)
     values = _functional_values(spec, coeffs, functional, grid_points)
 
     if lambdas is None:

@@ -41,7 +41,7 @@ def test_tensor_writes_cache_and_sidecars(workdir, capsys):
     assert resolved == {"subcommand": "tensor", "family": "hol", "cutoff": 5,
                         "out": "t5.bin"}
     meta = json.loads((workdir / "t5.bin.meta.json").read_text())
-    assert "written_at" in meta and "kernel_backend" in meta
+    assert "written_at" in meta and "package_version" in meta
     assert "t5.bin" in capsys.readouterr().out
 
 
@@ -83,6 +83,14 @@ def test_evolve_tensor_cutoff_mismatch_exits_three(workdir, capsys):
     capsys.readouterr()
     assert run(["evolve", "--init", "init.json", "--tensor", "t3.bin", "--t", "1"]) == 3
     assert "tensor" in capsys.readouterr().err
+
+
+def test_evolve_numerical_error_exits_four(workdir, capsys):
+    # the cubic term overflows at this amplitude
+    write_state(workdir / "init.json", np.full(4, 1e200))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run(["evolve", "--init", "init.json", "--t", "1", "--out", "traj.csv"]) == 4
+    assert "numerical error: state became non-finite" in capsys.readouterr().err
 
 
 def test_config_file_with_flag_override(workdir):
@@ -194,11 +202,3 @@ def test_tails_runs(workdir):
                 "--samples", "500", "--seed", "3", "--out", "t.json"]) == 0
     doc = json.loads((workdir / "t.json").read_text())
     assert doc["slope"] < 0
-
-
-def test_threads_do_not_change_output(workdir):
-    args = ["sample", "--kind", "white-noise", "--n", "6", "--count", "32",
-            "--seed", "5"]
-    assert run(args + ["--threads", "1", "--out", "one.ndjson"]) == 0
-    assert run(args + ["--threads", "4", "--out", "four.ndjson"]) == 0
-    assert (workdir / "one.ndjson").read_bytes() == (workdir / "four.ndjson").read_bytes()

@@ -5,13 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from crlab import dynamics
 from crlab.basis import HOLOMORPHIC, RADIAL, Grid2D, eigenspace
-from crlab.coupling import build_tensor
+from crlab.coupling import CouplingTensor, build_tensor
 from crlab.dynamics import (
     CoefficientState,
     FlowKernel,
     GridResolutionError,
     IntegratorConfig,
+    NumericalError,
     Projector,
     cutoff_profile,
     energy,
@@ -218,3 +220,39 @@ def test_evolve_rejects_mismatched_shapes():
         evolve(state, tensor, Projector("sharp", 4), 1.0)
     with pytest.raises(ValueError):
         evolve(random_state(HOLOMORPHIC, 4), tensor, Projector("sharp", 6), 1.0)
+
+
+def test_step_size_underflow_is_numerical_error():
+    # dc/dt = c^2 from c = 1 blows up at t = 1: the steps shrink to nothing
+    with pytest.raises(NumericalError, match="underflow"):
+        dynamics._dopri5(lambda c: c * c, np.array([1.0 + 0.0j]), 2.0, IntegratorConfig(), None)
+
+
+def test_non_finite_state_is_numerical_error():
+    tensor = build_tensor(HOLOMORPHIC, 3)
+    kernel = FlowKernel(tensor, Projector("sharp", 3))
+    # the cubic term overflows at this amplitude
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError, match="non-finite"):
+            kernel.evolve(np.full(4, 1e120 + 0j), 1.0)
+
+
+def test_implicit_midpoint_divergence_is_numerical_error():
+    tensor = build_tensor(HOLOMORPHIC, 3)
+    kernel = FlowKernel(tensor, Projector("sharp", 3))
+    config = IntegratorConfig(method="implicit-midpoint", max_step=1.0)
+    # one unit step at amplitude 10 is far outside the fixed point's contraction range
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError, match="converge"):
+            kernel.evolve(np.full(4, 10.0 + 0j), 1.0, config)
+
+
+def test_quartic_residual_is_numerical_error():
+    tensor = build_tensor(HOLOMORPHIC, 3)
+    # scale one side of every pair exchange: the quartic form turns complex
+    weights = tensor.weights.copy()
+    weights[tensor.indices[:, 0] < tensor.indices[:, 2]] *= 1.5
+    broken = CouplingTensor(tensor.family, tensor.cutoff, tensor.indices, weights, tensor.constant)
+    state = CoefficientState(HOLOMORPHIC, np.array([1.0, 1j, 0.5, -0.3 + 0.2j]))
+    with pytest.raises(NumericalError, match="imaginary residual"):
+        hamiltonian(state, broken)

@@ -124,12 +124,17 @@ def test_start_index_shifts_sample_rows():
     assert np.allclose(tail.table_final, base.table_final[5:8])
 
 
-def test_invariance_thread_independent():
+def test_invariance_shards_are_bitwise_identical():
+    # a run split into start-index shards reproduces every table row exactly
     tensor = build_tensor(HOLOMORPHIC, 5)
     spec = MeasureSpec("white-noise", HOLOMORPHIC, 5, seed=9)
-    one = invariance_test(spec, tensor, Projector("sharp", 5), 0.5, 40, threads=1)
-    four = invariance_test(spec, tensor, Projector("sharp", 5), 0.5, 40, threads=4)
-    assert one.to_json() == four.to_json()
+    proj = Projector("sharp", 5)
+    whole = invariance_test(spec, tensor, proj, 0.5, 40)
+    head = invariance_test(spec, tensor, proj, 0.5, 17, start_index=0)
+    tail = invariance_test(spec, tensor, proj, 0.5, 23, start_index=17)
+    for name in ("table_initial", "table_final"):
+        parts = np.vstack([getattr(head, name), getattr(tail, name)])
+        assert np.array_equal(getattr(whole, name), parts)
 
 
 def test_recurrence_single_mode_returns_exactly():

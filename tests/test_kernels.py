@@ -1,19 +1,13 @@
 """Contraction kernels against a brute-force reference."""
 
-import os
-import subprocess
-import sys
-import tempfile
-
 import numpy as np
 import pytest
 
-import crlab
 from crlab.basis import HOLOMORPHIC, RADIAL, eigenspace
 from crlab.coupling import alpha_hol, build_tensor
 from crlab.dynamics import FlowKernel, Projector
 from crlab.invariance_lab import cauchy_study
-from crlab.kernels import BLOCK_ROWS, backend_name, build_plan, rhs_apply
+from crlab.kernels import BLOCK_ROWS, build_plan, rhs_apply
 from crlab.measures import MeasureSpec, sample_ensemble
 
 
@@ -74,18 +68,32 @@ def random_rows(rows, cutoff, seed=0):
     return rng.standard_normal((rows, cutoff + 1)) + 1j * rng.standard_normal((rows, cutoff + 1))
 
 
-def test_backend_name_valid():
-    assert backend_name() in ("compiled", "numpy")
+def brute_projected_rhs(c, tensor, proj):
+    """The projected contraction of one vector, from the closed form on the
+    holomorphic chain and from the COO tensor elsewhere."""
+    if tensor.family.kind == "eigenspace":
+        return brute_eigenspace_rhs(c, tensor)
+    chi = proj.weights(tensor.family)
+    weight = alpha_hol if tensor.family == HOLOMORPHIC else coo_weight(tensor)
+    return chi * brute_rhs(chi * c, tensor.cutoff, weight)
 
 
-def test_rhs_matches_brute_force_holomorphic():
-    cutoff = 7
-    tensor = build_tensor(HOLOMORPHIC, cutoff)
-    plan = build_plan(tensor)
+FLOWS = [
+    (HOLOMORPHIC, 7, "sharp"),
+    (RADIAL, 6, "smooth"),
+    # two pairs of one parity block can share an output mode
+    (eigenspace(4), 4, "sharp"),
+]
+
+
+@pytest.mark.parametrize("family,cutoff,kind", FLOWS)
+def test_rhs_matches_brute_force(family, cutoff, kind):
+    tensor = build_tensor(family, cutoff)
+    proj = Projector(kind, cutoff)
+    plan = build_plan(tensor, None if kind == "sharp" else proj.weights(family))
     c = random_state(cutoff, seed=3)
     got = rhs_apply(plan, c)
-    want = brute_rhs(c, cutoff, alpha_hol)
-    assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+    assert np.allclose(got, brute_projected_rhs(c, tensor, proj), rtol=1e-12, atol=1e-12)
 
 
 def test_hamiltonian_matches_brute_force():
@@ -120,27 +128,16 @@ def test_eigenspace_plan_contracts():
     assert np.allclose(got, brute_eigenspace_rhs(c, tensor), rtol=1e-10, atol=1e-12)
 
 
-@pytest.mark.parametrize("family,cutoff,kind", [
-    (HOLOMORPHIC, 7, "sharp"),
-    (RADIAL, 6, "smooth"),
-    # two pairs of one parity block can share an output mode
-    (eigenspace(4), 4, "sharp"),
-])
+@pytest.mark.parametrize("family,cutoff,kind", FLOWS)
 def test_batched_contraction_matches_brute_force(family, cutoff, kind):
     tensor = build_tensor(family, cutoff)
     proj = Projector(kind, cutoff)
-    chi = proj.weights(family)
     kernel = FlowKernel(tensor, proj)
     rows = random_rows(BLOCK_ROWS + 3, cutoff, seed=4)  # a full chunk and a padded one
     got = kernel.contraction(rows)
     assert got.shape == rows.shape
-    weight = alpha_hol if family == HOLOMORPHIC else coo_weight(tensor)
     for c, g in zip(rows, got):
-        if family.kind == "eigenspace":
-            want = brute_eigenspace_rhs(c, tensor)
-        else:
-            want = chi * brute_rhs(chi * c, cutoff, weight)
-        assert np.allclose(g, want, rtol=1e-12, atol=1e-12)
+        assert np.allclose(g, brute_projected_rhs(c, tensor, proj), rtol=1e-12, atol=1e-12)
 
 
 def test_batched_rows_bitwise_independent_of_batch():
@@ -185,44 +182,3 @@ def test_rhs_bitwise_deterministic():
     a = rhs_apply(plan, c)
     b = rhs_apply(plan, c)
     assert np.array_equal(a, b)
-
-
-def test_numpy_fallback_agrees_with_active_backend():
-    # run the same contraction in a subprocess with the fallback forced
-    cutoff = 8
-    tensor = build_tensor(HOLOMORPHIC, cutoff)
-    plan = build_plan(tensor)
-    c = random_state(cutoff, seed=11)
-    here = rhs_apply(plan, c)
-
-    code = (
-        "import numpy as np\n"
-        "import crlab\n"
-        "from crlab.basis import HOLOMORPHIC\n"
-        "from crlab.coupling import build_tensor\n"
-        "from crlab.kernels import backend_name, build_plan, rhs_apply\n"
-        "assert backend_name() == 'numpy'\n"
-        f"tensor = build_tensor(HOLOMORPHIC, {cutoff})\n"
-        "plan = build_plan(tensor)\n"
-        f"rng = np.random.default_rng(11)\n"
-        f"c = rng.standard_normal({cutoff + 1}) + 1j * rng.standard_normal({cutoff + 1})\n"
-        "out = rhs_apply(plan, np.ascontiguousarray(c, dtype=np.complex128))\n"
-        "np.save('OUT', out)\n"
-        "print(crlab.__file__)\n"
-    )
-
-    # the child runs in a temporary directory, so a relative PYTHONPATH
-    # (e.g. PYTHONPATH=src from a source checkout) would name nothing there:
-    # point it at the package this process imported, by absolute path
-    package_root = os.path.dirname(os.path.dirname(os.path.abspath(crlab.__file__)))
-    inherited = [os.path.abspath(p) for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    with tempfile.TemporaryDirectory() as tmp:
-        env = dict(os.environ, CRLAB_FORCE_NUMPY="1",
-                   PYTHONPATH=os.pathsep.join([package_root] + inherited))
-        child = subprocess.run([sys.executable, "-c", code.replace("OUT", os.path.join(tmp, "out.npy"))],
-                               env=env, cwd=tmp, capture_output=True, text=True)
-        assert child.returncode == 0, f"fallback subprocess failed:\n{child.stderr}"
-        there = np.load(os.path.join(tmp, "out.npy"))
-    # an installed copy elsewhere on sys.path must not stand in for the tree under test
-    assert os.path.realpath(child.stdout.splitlines()[-1]) == os.path.realpath(crlab.__file__)
-    assert np.allclose(here, there, rtol=1e-13, atol=1e-13)

@@ -55,13 +55,6 @@ def test_sampling_is_deterministic_and_indexed():
     assert np.array_equal(shifted, ensemble[2:6])
 
 
-def test_sampling_thread_independent():
-    spec = MeasureSpec("white-noise", HOLOMORPHIC, 10, seed=3)
-    one = sample_ensemble(spec, 64, threads=1)
-    four = sample_ensemble(spec, 64, threads=4)
-    assert np.array_equal(one, four)
-
-
 def test_white_noise_moments():
     spec = MeasureSpec("white-noise", HOLOMORPHIC, 16, seed=2)
     c = sample_ensemble(spec, 4000)
