@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__, coupling, dynamics, measures
 from . import invariance_lab as lab
-from .basis import family_from_label, norm_decay_study
+from .basis import GridResolutionError, family_from_label, norm_decay_study
 from .dynamics import IntegratorConfig, NumericalError, Projector, state_from_dict, state_to_dict
 from .invariance_lab import ConfigError
 from .measures import GibbsStallError, MeasureSpec
@@ -684,15 +684,16 @@ def run(argv=None):
     except ConfigError as exc:
         print(f"crlab {name}: config error: {exc}", file=sys.stderr)
         return 3
+    # GridResolutionError is a ValueError, so it is caught first
+    except (GridResolutionError, NumericalError) as exc:
+        print(f"crlab {name}: numerical error: {exc}", file=sys.stderr)
+        return 4
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"crlab {name}: config error: {exc}", file=sys.stderr)
         return 3
     except GibbsStallError as exc:
         print(f"crlab {name}: {exc}", file=sys.stderr)
         return 2
-    except NumericalError as exc:
-        print(f"crlab {name}: numerical error: {exc}", file=sys.stderr)
-        return 4
     print(summary)
     return code
 

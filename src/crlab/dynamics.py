@@ -211,9 +211,9 @@ class FlowKernel:
         self.plan = kernels.build_plan(tensor, chi)
         self.eigenvalues = np.asarray(tensor.family.eigenvalue(np.arange(self.n_modes)))
 
-    def contraction(self, c, out=None):
+    def contraction(self, c):
         """The projected trilinear sum of a vector, or of each row of a matrix."""
-        return kernels.rhs_apply(self.plan, c, out)
+        return kernels.rhs_apply(self.plan, c)
 
     def rhs(self, c):
         """-i times the projected trilinear sum."""
@@ -286,6 +286,8 @@ def _initial_step(fun, c0, f0, direction, rel_tol, abs_tol, remaining):
     d0 = math.sqrt(float(np.mean((np.abs(c0) / scale) ** 2)))
     d1 = math.sqrt(float(np.mean((np.abs(f0) / scale) ** 2)))
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    if h0 == 0.0:  # d1 overflowed although f0 is finite
+        raise NumericalError("step size underflow at t=0")
     f1 = fun(c0 + h0 * direction * f0)
     d2 = math.sqrt(float(np.mean((np.abs(f1 - f0) / scale) ** 2))) / h0
     if max(d1, d2) <= 1e-15:
@@ -303,6 +305,8 @@ def _dopri5(fun, c, span, config, observer):
         observer(t, c)
     k = [None] * 7
     k[0] = fun(c)
+    if not np.all(np.isfinite(k[0].view(np.float64))):
+        raise NumericalError("state became non-finite: the right-hand side overflows at t=0")
     h = min(_initial_step(fun, c, k[0], direction, config.rel_tol, config.abs_tol, abs(span)),
             config.max_step)
     rejected = False

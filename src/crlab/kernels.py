@@ -1,18 +1,17 @@
 """Contraction plans for the truncated flows.
 
 The single hot operation of the whole package is the trilinear contraction
-behind every right-hand-side evaluation.  It comes in two forms that compute
-the same sums:
+behind every right-hand-side evaluation.  Every stored entry couples two
+canonical pairs of one resonance block (equal n1 + n2 on the chains, equal
+parity of n1 + n2 on an eigenspace), so the tensor is block-diagonal over
+pairs.  A ContractionPlan holds that one representation, dense block weights
+with every per-mode cutoff factor folded in, and applies it in two shapes
+that compute the same sums:
 
-- one coefficient vector: sparse accumulation rows, O(entries) per call,
-  scatter-added through bincount.
-- a (rows, n_modes) matrix: dense resonance blocks contracted by GEMM over
-  fixed-height chunks of rows.  Every stored entry couples two canonical
-  pairs of one block (equal n1 + n2 on the chains, equal parity of n1 + n2
-  on an eigenspace), so the tensor is block-diagonal over pairs.
-
-A ContractionPlan holds both: the flat accumulation rows and the blocks,
-with every per-mode cutoff factor folded into their weights.
+- one coefficient vector: the blocks as one block-diagonal sparse matrix,
+  scattered to the output modes through bincount.
+- a (rows, n_modes) matrix: each block by GEMM over fixed-height chunks of
+  rows.
 """
 
 from dataclasses import dataclass
@@ -28,45 +27,62 @@ BLOCK_ROWS = 64
 
 @dataclass
 class ContractionPlan:
-    """Flat accumulation rows and resonance blocks of one projected flow.
+    """Resonance blocks of one projected flow.
 
-    Right-hand-side rows: out <- w * c[in1] * c[in2] * conj(c[conj]), where w
-    already carries the input-pair multiplicity and the four cutoff-profile
-    factors of the stored entry.  The within-pair symmetry of the tensor is
-    unfolded: an entry with n3 < n4 appears twice, once per output mode.
-
-    Blocks: the canonical pairs (pair_a[p], pair_b[p]), a <= b, ordered so
-    that each resonance block is a contiguous range lo:hi.  blocks holds
+    The canonical pairs (pair_a[p], pair_b[p]), a <= b, are ordered so that
+    each resonance block is a contiguous range lo:hi.  blocks holds
     (lo, hi, wt) with wt[q, p] = m_p * w(p, q) over the block's pairs: the
     transposed weight matrix with the input-pair multiplicity m_p and the
-    cutoff factors folded in.  to_b and to_a are (n_modes, pairs) 0/1
-    matrices sending pair q's terms to output mode b_q and, for a_q < b_q,
-    to a_q.
+    cutoff factors folded in.  weight is the same blocks as one
+    block-diagonal CSR matrix over all pairs.
+
+    Pair q sends U_q conj(c_a) to output mode b and, when a_q < b_q,
+    U_q conj(c_b) to mode a.  Distinct pairs of one eigenspace block share
+    output modes, so the terms are summed per mode: for a matrix by the
+    (n_modes, pairs) 0/1 matrices to_b and to_a, for one vector by term j
+    adding U[term_pair[j]] conj(c[term_conj[j]]) to the real and imaginary
+    part of its mode, entries term_slot[2j] and term_slot[2j + 1] of the
+    output's real view.
     """
 
     n_modes: int
-    in1: np.ndarray
-    in2: np.ndarray
-    conj: np.ndarray
-    out: np.ndarray
-    w: np.ndarray
     pair_a: np.ndarray
     pair_b: np.ndarray
     blocks: tuple
+    weight: sparse.csr_array
     to_b: sparse.csr_array
     to_a: sparse.csr_array
+    term_pair: np.ndarray
+    term_conj: np.ndarray
+    term_slot: np.ndarray
 
     def __len__(self):
-        return len(self.w)
+        """The number of stored block weights."""
+        return self.weight.nnz
 
 
-def _resonance_blocks(family, n, idx, weights):
-    """Pairs, dense transposed block weights and output sums of build_plan."""
+def build_plan(tensor, mode_weights=None):
+    """Group a CouplingTensor into the resonance blocks of a ContractionPlan.
+
+    mode_weights: per-mode multipliers chi_n (length cutoff+1) folded into
+    every block weight as chi_{n1} chi_{n2} chi_{n3} chi_{n4}; None keeps
+    the stored weights bitwise untouched (a sharp projector on matching data
+    is a no-op by construction).
+    """
+    n = tensor.cutoff + 1
+    idx = tensor.indices.astype(np.int64)
+    weights = tensor.weights
+    if mode_weights is not None:
+        chi = np.asarray(mode_weights, dtype=np.float64)
+        if chi.shape != (n,):
+            raise ValueError("mode_weights length must be cutoff + 1")
+        weights = weights * chi[idx[:, 0]] * chi[idx[:, 1]] * chi[idx[:, 2]] * chi[idx[:, 3]]
+
     code_in = idx[:, 0] * n + idx[:, 1]
     code_out = idx[:, 2] * n + idx[:, 3]
     codes = np.unique(np.concatenate([code_in, code_out]))
     a, b = np.divmod(codes, n)
-    key = a + b if family.kind != "eigenspace" else (a + b) % 2
+    key = a + b if tensor.family.kind != "eigenspace" else (a + b) % 2
     order = np.argsort(key, kind="stable")
     codes, a, b, key = codes[order], a[order], b[order], key[order]
 
@@ -90,61 +106,21 @@ def _resonance_blocks(family, n, idx, weights):
         for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
     )
 
-    # pair q sends U_q conj(c_a) to mode b and, when a < b, U_q conj(c_b) to
-    # mode a.  Distinct pairs of one eigenspace block share output modes, so
-    # the terms are summed per mode by sparse 0/1 matrices
+    weight = sparse.csr_array(sparse.block_diag([wt for _, _, wt in blocks], format="csr"))
+    weight.eliminate_zeros()  # block_diag stores the zeros of dense blocks
     pairs = np.arange(len(codes))
     asym = a < b
-    to_b = sparse.csr_array((np.ones(len(codes)), (b, pairs)), shape=(n, len(codes)))
-    to_a = sparse.csr_array((np.ones(int(asym.sum())), (a[asym], pairs[asym])), shape=(n, len(codes)))
-    return a, b, blocks, to_b, to_a
-
-
-def build_plan(tensor, mode_weights=None):
-    """Unfold a CouplingTensor into a ContractionPlan.
-
-    mode_weights: per-mode multipliers chi_n (length cutoff+1) folded into
-    every row and block as chi_{n1} chi_{n2} chi_{n3} chi_{n4}; None keeps
-    the stored weights bitwise untouched (a sharp projector on matching data
-    is a no-op by construction).  Accumulation rows whose folded weight is
-    exactly zero are dropped, so fully cut-off modes never enter the inner
-    loops; rows are sorted by output mode.
-    """
-    n_modes = tensor.cutoff + 1
-    idx = tensor.indices.astype(np.int64)
-    weights = tensor.weights
-    if mode_weights is not None:
-        chi = np.asarray(mode_weights, dtype=np.float64)
-        if chi.shape != (n_modes,):
-            raise ValueError("mode_weights length must be cutoff + 1")
-        weights = weights * chi[idx[:, 0]] * chi[idx[:, 1]] * chi[idx[:, 2]] * chi[idx[:, 3]]
-    pair_a, pair_b, blocks, to_b, to_a = _resonance_blocks(tensor.family, n_modes, idx, weights)
-    m12 = 1.0 + (idx[:, 0] < idx[:, 1])
-    swap = idx[:, 2] < idx[:, 3]
-
-    in1 = np.concatenate([idx[:, 0], idx[swap, 0]])
-    in2 = np.concatenate([idx[:, 1], idx[swap, 1]])
-    cj = np.concatenate([idx[:, 2], idx[swap, 3]])
-    out = np.concatenate([idx[:, 3], idx[swap, 2]])
-    w = np.concatenate([m12 * weights, m12[swap] * weights[swap]])
-
-    live = w != 0.0
-    in1, in2, cj, out, w = in1[live], in2[live], cj[live], out[live], w[live]
-    perm = np.lexsort((in1, in2, cj, out))
-
-    u32 = np.uint32
     return ContractionPlan(
-        n_modes=n_modes,
-        in1=np.ascontiguousarray(in1[perm], dtype=u32),
-        in2=np.ascontiguousarray(in2[perm], dtype=u32),
-        conj=np.ascontiguousarray(cj[perm], dtype=u32),
-        out=np.ascontiguousarray(out[perm], dtype=u32),
-        w=np.ascontiguousarray(w[perm], dtype=np.float64),
-        pair_a=pair_a,
-        pair_b=pair_b,
+        n_modes=n,
+        pair_a=a,
+        pair_b=b,
         blocks=blocks,
-        to_b=to_b,
-        to_a=to_a,
+        weight=weight,
+        to_b=sparse.csr_array((np.ones(len(codes)), (b, pairs)), shape=(n, len(codes))),
+        to_a=sparse.csr_array((np.ones(int(asym.sum())), (a[asym], pairs[asym])), shape=(n, len(codes))),
+        term_pair=np.concatenate([pairs, pairs[asym]]),
+        term_conj=np.concatenate([a, b[asym]]),
+        term_slot=(2 * np.concatenate([b, a[asym]])[:, None] + [0, 1]).ravel(),
     )
 
 
@@ -167,7 +143,8 @@ def _contract_chunk(plan, chunk):
     return out.view(np.complex128)
 
 
-def _rhs_blocks(plan, c, out):
+def _rhs_blocks(plan, c):
+    out = np.empty(c.shape, dtype=np.complex128)
     chunk = np.empty((plan.n_modes, BLOCK_ROWS), dtype=np.complex128)
     for lo in range(0, len(c), BLOCK_ROWS):
         n = min(BLOCK_ROWS, len(c) - lo)
@@ -177,33 +154,27 @@ def _rhs_blocks(plan, c, out):
     return out
 
 
-def _rhs_core(w, i1, i2, ic, io, c, out):
-    """Accumulate out[io] += w * c[i1] * c[i2] * conj(c[ic]) over all rows."""
-    terms = w * (c[i1] * c[i2] * np.conj(c[ic]))
-    idx = np.asarray(io, dtype=np.intp)
-    out += np.bincount(idx, weights=terms.real, minlength=len(out))
-    out += 1j * np.bincount(idx, weights=terms.imag, minlength=len(out))
-    return out
+def _rhs_vector(plan, c):
+    v = c[plan.pair_a] * c[plan.pair_b]
+    # the sparse product and the per-mode sums act on real views, re and im
+    # side by side
+    u = (plan.weight @ v.view(np.float64).reshape(-1, 2)).view(np.complex128)[:, 0]
+    terms = u[plan.term_pair] * np.conj(c[plan.term_conj])
+    out = np.bincount(plan.term_slot, weights=terms.view(np.float64), minlength=2 * plan.n_modes)
+    return out.view(np.complex128)
 
 
-def rhs_apply(plan, c, out=None):
+def rhs_apply(plan, c):
     """Trilinear contraction sum_{n1+n2-n3=n} w c_{n1} c_{n2} conj(c_{n3}).
 
     Returns the plain sum; dynamics multiplies by -i.  c is either one
-    contiguous complex128 vector of length plan.n_modes, contracted by the
-    accumulation rows, or a (rows, n_modes) matrix, contracted row by row
-    through the resonance blocks; each row's result is bitwise independent
-    of the other rows and of their number.
+    complex128 vector of length plan.n_modes or a (rows, n_modes) matrix,
+    contracted in fixed-height chunks of rows; each row's result is bitwise
+    independent of the other rows and of their number.
     """
+    c = np.asarray(c, dtype=np.complex128)
     if c.ndim == 2:
         if c.shape[1] != plan.n_modes:
             raise ValueError(f"rows have {c.shape[1]} modes, the plan {plan.n_modes}")
-        if out is None:
-            out = np.empty(c.shape, dtype=np.complex128)
-        return _rhs_blocks(plan, c, out)
-    if out is None:
-        out = np.zeros(plan.n_modes, dtype=np.complex128)
-    else:
-        out[:] = 0.0
-    _rhs_core(plan.w, plan.in1, plan.in2, plan.conj, plan.out, c, out)
-    return out
+        return _rhs_blocks(plan, c)
+    return _rhs_vector(plan, c)

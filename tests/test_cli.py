@@ -190,6 +190,12 @@ def test_concentration_runs(workdir):
     assert set(doc["per_level"]) == {"3", "4"}
 
 
+def test_concentration_coarse_grid_exits_four(workdir, capsys):
+    assert run(["concentration", "--levels", "3,4", "--samples", "5", "--n-radial", "20",
+                "--out", "conc.json"]) == 4
+    assert "numerical error: sup-norm grid too coarse" in capsys.readouterr().err
+
+
 def test_norms_runs(workdir):
     assert run(["norms", "--family", "hol", "--p", "inf",
                 "--n-values", "16,32,64", "--out", "n.json"]) == 0

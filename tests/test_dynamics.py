@@ -226,6 +226,12 @@ def test_step_size_underflow_is_numerical_error():
     # dc/dt = c^2 from c = 1 blows up at t = 1: the steps shrink to nothing
     with pytest.raises(NumericalError, match="underflow"):
         dynamics._dopri5(lambda c: c * c, np.array([1.0 + 0.0j]), 2.0, IntegratorConfig(), None)
+    # a finite first rhs so large that its scaled norm, and so the first
+    # trial step, is out of range
+    kernel = FlowKernel(build_tensor(HOLOMORPHIC, 3), Projector("sharp", 3))
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericalError, match="underflow at t=0"):
+            kernel.evolve(np.full(4, 1e80 + 0j), 1.0)
 
 
 def test_non_finite_state_is_numerical_error():
@@ -235,6 +241,21 @@ def test_non_finite_state_is_numerical_error():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalError, match="non-finite"):
             kernel.evolve(np.full(4, 1e120 + 0j), 1.0)
+
+
+def test_overflowing_first_rhs_is_numerical_error():
+    kernel = FlowKernel(build_tensor(HOLOMORPHIC, 3), Projector("sharp", 3))
+    calls = []
+
+    def fun(c):
+        calls.append(c)
+        return kernel.rhs(c)
+
+    # the cubic term of the initial state overflows: no trial step may run
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError, match="t=0"):
+            dynamics._dopri5(fun, np.full(4, 1e200 + 0j), 1.0, IntegratorConfig(), None)
+    assert len(calls) == 1
 
 
 def test_implicit_midpoint_divergence_is_numerical_error():

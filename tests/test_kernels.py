@@ -1,11 +1,16 @@
 """Contraction kernels against a brute-force reference."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from crlab.basis import HOLOMORPHIC, RADIAL, eigenspace
 from crlab.coupling import alpha_hol, build_tensor
-from crlab.dynamics import FlowKernel, Projector
+from crlab.dynamics import FlowKernel, Projector, _real_quartic
 from crlab.invariance_lab import cauchy_study
 from crlab.kernels import BLOCK_ROWS, build_plan, rhs_apply
 from crlab.measures import MeasureSpec, sample_ensemble
@@ -182,3 +187,48 @@ def test_rhs_bitwise_deterministic():
     a = rhs_apply(plan, c)
     b = rhs_apply(plan, c)
     assert np.array_equal(a, b)
+
+
+@functools.cache
+def flow_kernel(family, cutoff, kind):
+    return FlowKernel(build_tensor(family, cutoff), Projector(kind, cutoff))
+
+
+def draw_state(data, cutoff):
+    coefficient = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+    return data.draw(arrays(np.complex128, cutoff + 1, elements=coefficient))
+
+
+# derandomized and bounded, so the examples and the suite's run time are fixed
+PROPERTY = settings(derandomize=True, max_examples=30, deadline=None)
+
+
+@pytest.mark.parametrize("family,cutoff,kind", FLOWS)
+@PROPERTY
+@given(data=st.data())
+def test_vector_contraction_equals_matrix_row(family, cutoff, kind, data):
+    kernel = flow_kernel(family, cutoff, kind)
+    c = draw_state(data, cutoff)
+    row = kernel.contraction(c[None])[0]
+    assert np.max(np.abs(kernel.contraction(c) - row)) <= 1e-13 * np.max(np.abs(row))
+
+
+@pytest.mark.parametrize("family,cutoff,kind", FLOWS)
+@PROPERTY
+@given(data=st.data(), theta=st.floats(0.0, 2.0 * np.pi))
+def test_contraction_commutes_with_phase_rotation(family, cutoff, kind, data, theta):
+    kernel = flow_kernel(family, cutoff, kind)
+    c = draw_state(data, cutoff)
+    phase = np.exp(1j * theta)
+    want = phase * kernel.contraction(c)
+    assert np.max(np.abs(kernel.contraction(phase * c) - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("family,cutoff,kind", FLOWS)
+@PROPERTY
+@given(data=st.data())
+def test_quartic_form_is_real(family, cutoff, kind, data):
+    kernel = flow_kernel(family, cutoff, kind)
+    c = draw_state(data, cutoff)
+    # raises NumericalError on an imaginary residual beyond rounding
+    _real_quartic([np.vdot(c, kernel.contraction(c)), np.vdot(c, kernel.contraction(c[None])[0])])
