@@ -456,7 +456,7 @@ def _radial_lp_even(n, p, extra_nodes=0):
     return (math.pi ** (1.0 - p / 2.0) * integral) ** (1.0 / p)
 
 
-def lp_norm(family, n, p, npoints=2048, return_check=False):
+def lp_norm(family, n, p, npoints=2048):
     """Numerical L^p(R^2) norm of the n-th basis function.
 
     Parameters
@@ -470,9 +470,6 @@ def lp_norm(family, n, p, npoints=2048, return_check=False):
         Base resolution for composite quadrature.  A second computation at
         doubled resolution (or an enlarged Gauss rule) always runs; the two
         must agree to 1e-3 relative or GridResolutionError is raised.
-    return_check : bool
-        Also return the self-check relative difference, which doubles as the
-        grid-refinement error estimate for p = inf.
 
     Notes
     -----
@@ -534,8 +531,6 @@ def lp_norm(family, n, p, npoints=2048, return_check=False):
             f"{base!r} vs {fine!r} at doubled resolution (rel {rel:.2e}); "
             f"increase npoints"
         )
-    if return_check:
-        return fine, rel
     return fine
 
 

@@ -39,18 +39,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
-# Schema per subcommand: key -> default.  None means "derive later" or
-# "optional".  Config files and flags may only set keys listed here; the
-# config-file path is an execution detail and stays out of the resolved
-# config.
+# Schema per subcommand: name -> (help, {key: default}).  None means
+# "derive later" or "optional".  Each key is set by a config file or by its
+# flag, --key-with-dashes; a boolean key's flag is a switch to the opposite
+# of its default.  The config-file path is an execution detail and stays out
+# of the resolved config.
 
 _SCHEMAS = {
-    "tensor": {
+    "tensor": ("build a coupling tensor and save the binary cache", {
         "family": "hol",
         "cutoff": 16,
         "out": "tensor.bin",
-    },
-    "evolve": {
+    }),
+    "evolve": ("integrate one state and write the trajectory CSV", {
         "init": None,
         "tensor": None,
         "family": None,
@@ -65,8 +66,8 @@ _SCHEMAS = {
         "out": "traj.csv",
         "conservation_out": None,
         "state_out": None,
-    },
-    "sample": {
+    }),
+    "sample": ("draw measure samples to newline-delimited JSON", {
         "kind": "gaussian-free",
         "family": None,
         "cutoff": 16,
@@ -80,8 +81,8 @@ _SCHEMAS = {
         "burn_in": 200,
         "thin": 5,
         "out": "samples.ndjson",
-    },
-    "invariance": {
+    }),
+    "invariance": ("paired before/after ensemble test of flow invariance", {
         "measure": "white-noise",
         "family": None,
         "cutoff": 16,
@@ -90,7 +91,6 @@ _SCHEMAS = {
         "seed": 0,
         "beta": 0.0,
         "start_index": 0,
-        "projector": None,
         "tensor": None,
         "method": "adaptive-rk",
         "rel_tol": 1e-10,
@@ -98,8 +98,8 @@ _SCHEMAS = {
         "max_step": None,
         "tables": True,
         "report": "report.json",
-    },
-    "recurrence": {
+    }),
+    "recurrence": ("running-minimum return distances on eigenspace orbits", {
         "level": 2,
         "t_max": 100.0,
         "dt": 1.0,
@@ -107,16 +107,16 @@ _SCHEMAS = {
         "theta": 0.1,
         "seed": 0,
         "out": "recurrence.json",
-    },
-    "cauchy": {
+    }),
+    "cauchy": ("truncation Cauchy decay in a negative Sobolev norm", {
         "sigma": 1.5,
         "cutoff": 64,
         "m_values": (4, 8, 16, 32),
         "samples": 1000,
         "seed": 0,
         "out": "cauchy.json",
-    },
-    "concentration": {
+    }),
+    "concentration": ("normalized sup/L2 ratios across eigenspace levels", {
         "levels": (16, 32, 64, 128),
         "samples": 1000,
         "seed": 0,
@@ -124,16 +124,16 @@ _SCHEMAS = {
         "n_theta": None,
         "check_resolution": True,
         "out": "concentration.json",
-    },
-    "norms": {
+    }),
+    "norms": ("fit the large-n decay of basis L^p norms", {
         "family": "hol",
         "p": "inf",
         "n_values": (64, 128, 256, 512, 1024),
         "log_correction": False,
         "npoints": 2048,
         "out": "norms.json",
-    },
-    "tails": {
+    }),
+    "tails": ("survival-curve fit of a functional under a measure", {
         "kind": "gaussian-free",
         "family": None,
         "cutoff": 32,
@@ -146,13 +146,62 @@ _SCHEMAS = {
         "grid_points": 256,
         "tensor": None,
         "out": "tails.json",
-    },
-    "oracle-check": {
+    }),
+    "oracle-check": ("quadrature couplings against the closed form", {
         "family": "hol",
         "max_index": 10,
         "out": None,
-    },
+    }),
 }
+
+# The exceptions to the flag rules: other flag names, the types of numeric
+# keys whose default is None, closed value sets, and help texts.
+_FLAGS = {
+    "cutoff": ("--n", "--cutoff"),
+    "check_resolution": ("--no-resolution-check",),
+}
+
+_TYPES = {"cutoff": int, "max_step": float, "n_radial": int, "n_theta": int}
+
+_CHOICES = {
+    "kind": measures.KINDS,
+    "measure": measures.KINDS,
+    "projector": ("sharp", "smooth"),
+    "method": ("adaptive-rk", "implicit-midpoint"),
+    "functional": measures.FUNCTIONALS,
+}
+
+_HELP = {
+    "family": "hol, radial, or eigenspace(N)",
+    "init": "input state JSON",
+    "tensor": "tensor cache to load (default: build one for the run's family "
+              "and cutoff; sample and tails load it for gibbs only)",
+    "t": "time span, either sign",
+    "checkpoints": "number of equal time intervals recorded in the CSV",
+    "out": "primary output (evolve: trajectory CSV t, n, Re c_n, Im c_n; "
+           "oracle-check: optional JSON summary)",
+    "conservation_out": "conservation log CSV: t, mass, energy, hamiltonian",
+    "state_out": "final state JSON",
+    "metropolis": "independence-chain sampler instead of exact rejection",
+    "tables": "omit the per-sample tables from the report",
+    "m_values": "comma-separated mask cutoffs, e.g. 4,8,16,32",
+    "levels": "comma-separated levels, e.g. 16,32,64,128",
+    "p": "p >= 2 or inf",
+    "n_values": "comma-separated indices, e.g. 64,128,256,512,1024",
+    "lambdas": "comma-separated thresholds (default: auto grid)",
+}
+
+
+def _flag(key, default):
+    """Option strings and argparse settings of a schema key's flag."""
+    if isinstance(default, bool):
+        prefix = "--no-" if default else "--"
+        settings = {"action": "store_const", "const": not default}
+    else:
+        prefix = "--"
+        kind = type(default) if isinstance(default, (int, float)) else _TYPES.get(key)
+        settings = {"type": kind, "choices": _CHOICES.get(key)}
+    return _FLAGS.get(key, (prefix + key.replace("_", "-"),)), settings
 
 
 def _build_parser():
@@ -164,136 +213,15 @@ def _build_parser():
     )
     subs = parser.add_subparsers(dest="subcommand", required=True,
                                  parser_class=_Parser)
-
-    def cmd(name, help_text):
+    for name, (help_text, schema) in _SCHEMAS.items():
         p = subs.add_parser(name, help=help_text)
         p.add_argument("--config", default=None,
                        help="JSON config file; explicit flags take precedence")
-        return p
-
-    p = cmd("tensor", "build a coupling tensor and save the binary cache")
-    p.add_argument("--family", default=None,
-                   help="hol, radial, or eigenspace(N)")
-    p.add_argument("--n", "--cutoff", dest="cutoff", type=int, default=None)
-    p.add_argument("--out", default=None)
-
-    p = cmd("evolve", "integrate one state and write the trajectory CSV")
-    p.add_argument("--init", default=None, help="input state JSON")
-    p.add_argument("--tensor", default=None, help="tensor cache to load "
-                   "(default: build for the input state's family and cutoff)")
-    p.add_argument("--family", default=None)
-    p.add_argument("--n", "--cutoff", dest="cutoff", type=int, default=None)
-    p.add_argument("--projector", choices=("sharp", "smooth"), default=None)
-    p.add_argument("--t", type=float, default=None, help="time span, either sign")
-    p.add_argument("--checkpoints", type=int, default=None,
-                   help="number of equal time intervals recorded in the CSV")
-    p.add_argument("--method", choices=("adaptive-rk", "implicit-midpoint"),
-                   default=None)
-    p.add_argument("--rel-tol", dest="rel_tol", type=float, default=None)
-    p.add_argument("--abs-tol", dest="abs_tol", type=float, default=None)
-    p.add_argument("--max-step", dest="max_step", type=float, default=None)
-    p.add_argument("--out", default=None, help="trajectory CSV: t, n, Re c_n, Im c_n")
-    p.add_argument("--conservation-out", dest="conservation_out", default=None,
-                   help="conservation log CSV: t, mass, energy, hamiltonian")
-    p.add_argument("--state-out", dest="state_out", default=None,
-                   help="final state JSON")
-
-    p = cmd("sample", "draw measure samples to newline-delimited JSON")
-    p.add_argument("--kind", choices=measures.KINDS, default=None)
-    p.add_argument("--family", default=None)
-    p.add_argument("--n", "--cutoff", dest="cutoff", type=int, default=None)
-    p.add_argument("--count", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--start-index", dest="start_index", type=int, default=None)
-    p.add_argument("--experimental", action="store_true", default=None)
-    p.add_argument("--tensor", default=None, help="tensor cache (gibbs only)")
-    p.add_argument("--metropolis", action="store_true", default=None,
-                   help="independence-chain sampler instead of exact rejection")
-    p.add_argument("--burn-in", dest="burn_in", type=int, default=None)
-    p.add_argument("--thin", type=int, default=None)
-    p.add_argument("--out", default=None)
-
-    p = cmd("invariance", "paired before/after ensemble test of flow invariance")
-    p.add_argument("--measure", choices=measures.KINDS, default=None)
-    p.add_argument("--family", default=None)
-    p.add_argument("--n", "--cutoff", dest="cutoff", type=int, default=None)
-    p.add_argument("--t", type=float, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--start-index", dest="start_index", type=int, default=None)
-    p.add_argument("--projector", choices=("sharp", "smooth"), default=None)
-    p.add_argument("--tensor", default=None)
-    p.add_argument("--method", choices=("adaptive-rk", "implicit-midpoint"),
-                   default=None)
-    p.add_argument("--rel-tol", dest="rel_tol", type=float, default=None)
-    p.add_argument("--abs-tol", dest="abs_tol", type=float, default=None)
-    p.add_argument("--max-step", dest="max_step", type=float, default=None)
-    p.add_argument("--no-tables", dest="tables", action="store_const",
-                   const=False, default=None,
-                   help="omit the per-sample tables from the report")
-    p.add_argument("--report", default=None)
-
-    p = cmd("recurrence", "running-minimum return distances on eigenspace orbits")
-    p.add_argument("--level", type=int, default=None)
-    p.add_argument("--t-max", dest="t_max", type=float, default=None)
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--theta", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None)
-
-    p = cmd("cauchy", "truncation Cauchy decay in a negative Sobolev norm")
-    p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--n", "--cutoff", dest="cutoff", type=int, default=None)
-    p.add_argument("--m-values", dest="m_values", default=None,
-                   help="comma-separated mask cutoffs, e.g. 4,8,16,32")
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None)
-
-    p = cmd("concentration", "normalized sup/L2 ratios across eigenspace levels")
-    p.add_argument("--levels", default=None,
-                   help="comma-separated levels, e.g. 16,32,64,128")
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--n-radial", dest="n_radial", type=int, default=None)
-    p.add_argument("--n-theta", dest="n_theta", type=int, default=None)
-    p.add_argument("--no-resolution-check", dest="check_resolution",
-                   action="store_const", const=False, default=None)
-    p.add_argument("--out", default=None)
-
-    p = cmd("norms", "fit the large-n decay of basis L^p norms")
-    p.add_argument("--family", default=None)
-    p.add_argument("--p", default=None, help="p >= 1 or inf")
-    p.add_argument("--n-values", dest="n_values", default=None,
-                   help="comma-separated indices, e.g. 64,128,256,512,1024")
-    p.add_argument("--log-correction", dest="log_correction",
-                   action="store_true", default=None)
-    p.add_argument("--npoints", type=int, default=None)
-    p.add_argument("--out", default=None)
-
-    p = cmd("tails", "survival-curve fit of a functional under a measure")
-    p.add_argument("--kind", choices=measures.KINDS, default=None)
-    p.add_argument("--family", default=None)
-    p.add_argument("--n", "--cutoff", dest="cutoff", type=int, default=None)
-    p.add_argument("--functional", choices=measures.FUNCTIONALS, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--lambdas", default=None,
-                   help="comma-separated thresholds (default: auto grid)")
-    p.add_argument("--min-tail-hits", dest="min_tail_hits", type=int, default=None)
-    p.add_argument("--grid-points", dest="grid_points", type=int, default=None)
-    p.add_argument("--tensor", default=None)
-    p.add_argument("--out", default=None)
-
-    p = cmd("oracle-check", "quadrature couplings against the closed form")
-    p.add_argument("--family", choices=("hol",), default=None)
-    p.add_argument("--max-index", dest="max_index", type=int, default=None)
-    p.add_argument("--out", default=None, help="optional JSON summary")
-
+        # every flag defaults to None, so _resolve sees only explicit flags
+        for key, default in schema.items():
+            flags, settings = _flag(key, default)
+            p.add_argument(*flags, dest=key, default=None, help=_HELP.get(key),
+                           **settings)
     return parser
 
 
@@ -512,15 +440,15 @@ def _cmd_sample(resolved):
     return summary, 0, [out]
 
 
-_DEFAULT_PROJECTOR = {"white-noise": "sharp", "eigenspace": "sharp",
-                      "gibbs": "smooth", "gaussian-free": "smooth"}
+# the one truncation each measure is matched to (see invariance_lab)
+_PROJECTOR = {"white-noise": "sharp", "eigenspace": "sharp",
+              "gibbs": "smooth", "gaussian-free": "smooth"}
 
 
 def _cmd_invariance(resolved):
     spec = _measure_spec(resolved, kind_key="measure")
-    kind = resolved.get("projector") or _DEFAULT_PROJECTOR[spec.kind]
     tensor = _tensor_for(resolved, spec.family, spec.cutoff)
-    proj = Projector(str(kind), spec.cutoff)
+    proj = Projector(_PROJECTOR[spec.kind], spec.cutoff)
     report = lab.invariance_test(
         spec, tensor, proj, float(_require(resolved, "t")),
         int(_require(resolved, "samples")), config=_integrator(resolved),
@@ -631,7 +559,9 @@ def _cmd_tails(resolved):
 
 
 def _cmd_oracle_check(resolved):
-    _family(resolved)  # only the holomorphic oracle exists; choices enforce it
+    family = _family(resolved)
+    if family.kind != "holomorphic":
+        raise ConfigError(f"family: only the holomorphic oracle exists, not {family.label}")
     max_index = int(_require(resolved, "max_index"))
     constant, spread, count = coupling.proportionality_constant(max_index)
     ok = spread < 1e-6
@@ -668,7 +598,7 @@ def run(argv=None):
     name = args.subcommand
     started = time.time()
     try:
-        resolved = _resolve(args, _SCHEMAS[name])
+        resolved = _resolve(args, _SCHEMAS[name][1])
         summary, code, outputs = _COMMANDS[name](resolved)
         if outputs:
             primary = outputs[0]

@@ -249,7 +249,6 @@ class CouplingTensor:
         self.indices = np.ascontiguousarray(indices, dtype=np.uint32).reshape(-1, 4)
         self.weights = np.ascontiguousarray(weights, dtype=np.float64)
         self.constant = float(constant)
-        self.ordering = "sorted-pairs"
 
     def __len__(self):
         return len(self.weights)

@@ -93,9 +93,6 @@ class CoefficientState:
     def cutoff(self):
         return len(self.coeffs) - 1
 
-    def copy(self):
-        return CoefficientState(self.family, self.coeffs.copy(), self.time)
-
 
 @dataclass(frozen=True)
 class IntegratorConfig:
@@ -157,14 +154,6 @@ class Projector:
             return np.ones(self.cutoff + 1)
         ratio = family.eigenvalue(n) / family.eigenvalue(self.cutoff)
         return cutoff_profile(ratio)
-
-    def apply(self, state):
-        """Project a state (new state; sharp returns an identical copy)."""
-        if state.cutoff != self.cutoff:
-            raise ValueError("projector cutoff does not match the state")
-        if self.kind == "sharp":
-            return state.copy()
-        return CoefficientState(state.family, state.coeffs * self.weights(state.family), state.time)
 
 
 def _real_quartic(values):

@@ -165,8 +165,7 @@ def _check_consistency(spec, tensor, proj):
             raise ConfigError("white noise is matched to the sharp truncation")
 
 
-def invariance_test(spec, tensor, proj, t, n_samples, observables=None,
-                    config=None, start_index=0):
+def invariance_test(spec, tensor, proj, t, n_samples, config=None, start_index=0):
     """Evolve an ensemble from the measure and test that observable marginals
     are unchanged.  Returns an EnsembleReport whose verdict is PASS when
     every |z| < 4 and every Bonferroni-adjusted KS p-value exceeds 0.001.
@@ -186,8 +185,7 @@ def invariance_test(spec, tensor, proj, t, n_samples, observables=None,
         raise ConfigError("need at least 2 samples")
     config = config or IntegratorConfig()
     kernel = FlowKernel(tensor, proj)
-    if observables is None:
-        observables = ObservableSet.standard(kernel)
+    observables = ObservableSet.standard(kernel)
 
     c0 = measures.sample_ensemble(spec, n_samples, tensor=tensor, projector=proj,
                                   start_index=start_index)
@@ -227,8 +225,8 @@ def invariance_test(spec, tensor, proj, t, n_samples, observables=None,
         worst_z = max(worst_z, abs(z))
         worst_p = min(worst_p, ks_p_adj)
 
-    h0 = kernel.hamiltonians(c0)
-    h1 = kernel.hamiltonians(c1)
+    ham = observables.names.index("hamiltonian")
+    h0, h1 = t0[:, ham], t1[:, ham]
     scale = np.maximum(np.abs(h0), np.finfo(float).tiny)
     drift = float(np.max(np.abs(h1 - h0) / scale))
     ref_rows, ref_vals = coupling.reference_weights(tensor)
@@ -498,16 +496,14 @@ def concentration_study(levels, n_samples, seed=0, n_radial=None, n_theta=None,
         r_max, n_r, n_t = _polar_resolution(N, n_radial, n_theta)
         r = np.linspace(0.0, r_max, n_r)
         table = _angular_radial_table(N, r)
+        # the modulus keeps seed + N inside the 64-bit seed range
+        spec = measures.MeasureSpec("eigenspace", eigenspace(N), N, seed=(seed + N) % 2 ** 64)
         if check_resolution and N == max(levels):
-            _resolution_check(N, seed, r_max, n_r, n_t, table)
-        scale = 1.0 / math.sqrt(N + 1.0)
+            _resolution_check(spec, r_max, n_r, n_t, table)
         norm_factor = math.sqrt(math.log(N)) / math.sqrt(N)
         ratios = np.empty(n_samples)
-        for i in range(n_samples):
-            rng = measures._stream(seed + N, i)
-            g = scale * measures._complex_gaussians(rng, N + 1)
-            sup = _sup_of_sample(g, table, n_t)
-            ratios[i] = sup / np.linalg.norm(g) / norm_factor
+        for i, g in enumerate(measures.sample_ensemble(spec, n_samples)):
+            ratios[i] = _sup_of_sample(g, table, n_t) / np.linalg.norm(g) / norm_factor
         q05, q50, q95 = np.quantile(ratios, [0.05, 0.50, 0.95])
         per_level[N] = {
             "q05": float(q05),
@@ -538,15 +534,14 @@ def concentration_study(levels, n_samples, seed=0, n_radial=None, n_theta=None,
     }
 
 
-def _resolution_check(level, seed, r_max, n_radial, n_theta, table):
-    """Probe sups at doubled resolution; 0.1% agreement or the grid is too
-    coarse for this level."""
+def _resolution_check(spec, r_max, n_radial, n_theta, table):
+    """Probe the sups of the first three samples of the level's eigenspace
+    spec at doubled resolution; 0.1% agreement or the grid is too coarse
+    for this level."""
+    level = spec.cutoff
     r_fine = np.linspace(0.0, r_max, 2 * n_radial)
     table_fine = _angular_radial_table(level, r_fine)
-    scale = 1.0 / math.sqrt(level + 1.0)
-    for i in range(3):
-        rng = measures._stream(seed + level, i)
-        g = scale * measures._complex_gaussians(rng, level + 1)
+    for g in measures.sample_ensemble(spec, 3):
         coarse = _sup_of_sample(g, table, n_theta)
         fine = _sup_of_sample(g, table_fine, 2 * n_theta)
         if abs(coarse - fine) > 1e-3 * fine:

@@ -36,7 +36,6 @@ __all__ = [
     "sample",
     "sample_ensemble",
     "sample_gibbs_metropolis",
-    "log_density_ratio",
     "estimate_partition",
     "tail_study",
 ]
@@ -177,12 +176,7 @@ def sample(spec, index=0, tensor=None, projector=None):
     determine the result.  tensor (and optionally projector, default the
     smooth truncation) are required for gibbs, ignored otherwise.
     """
-    if spec.kind == "gibbs":
-        kernel = _gibbs_weight(spec, tensor, projector)
-        c = _draw_gibbs(spec, index, kernel, _base_scale(spec))
-    else:
-        rng = _stream(spec.seed, index)
-        c = _base_scale(spec) * _complex_gaussians(rng, spec.n_modes)
+    c = sample_ensemble(spec, 1, tensor, projector, start_index=index)[0]
     return CoefficientState(spec.family, c)
 
 
@@ -232,16 +226,6 @@ def sample_gibbs_metropolis(spec, count, tensor, projector=None, burn_in=200, th
     return out
 
 
-def log_density_ratio(state, beta, tensor, projector=None):
-    """log of the unnormalized Gibbs density against its Gaussian base:
-    -beta * hamiltonian(state), with the projector folded in when given."""
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
-    if projector is None:
-        projector = Projector("sharp", tensor.cutoff)
-    return -float(beta) * FlowKernel(tensor, projector).hamiltonian(state.coeffs)
-
-
 def estimate_partition(spec, n_samples, tensor, projector=None):
     """Monte Carlo (mean, stderr) of e^{-beta H} under the gaussian-free base.
 
@@ -253,12 +237,8 @@ def estimate_partition(spec, n_samples, tensor, projector=None):
     if n_samples < 100:
         raise ValueError("need n_samples >= 100")
     kernel = _gibbs_weight(spec, tensor, projector)
-    scale = _base_scale(spec)
-    vals = np.empty(n_samples)
-    for i in range(n_samples):
-        rng = _stream(spec.seed, i)
-        c = scale * _complex_gaussians(rng, spec.n_modes)
-        vals[i] = math.exp(-spec.beta * kernel.hamiltonian(c))
+    base = MeasureSpec("gaussian-free", spec.family, spec.cutoff, seed=spec.seed)
+    vals = np.exp(-spec.beta * kernel.hamiltonians(sample_ensemble(base, n_samples)))
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(n_samples))
     return mean, stderr

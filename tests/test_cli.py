@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from crlab.cli import run
+from crlab.cli import _SCHEMAS, _build_parser, _int_list, _resolve, run
 
 
 @pytest.fixture
@@ -104,6 +104,41 @@ def test_config_file_with_flag_override(workdir):
     assert resolved["out"] == "from_flag.bin"
 
 
+@pytest.mark.parametrize("name", sorted(_SCHEMAS))
+def test_every_schema_key_round_trips_through_its_flag(name):
+    # each key's flag is --key-with-dashes and parses to the default's type
+    schema = _SCHEMAS[name][1]
+    given = {key: default for key, default in schema.items()
+             if default is not None and not isinstance(default, bool)}
+    argv = [name]
+    for key, default in given.items():
+        text = ",".join(map(str, default)) if isinstance(default, tuple) else str(default)
+        argv += ["--" + key.replace("_", "-"), text]
+    args = _build_parser().parse_args(argv)
+    resolved = _resolve(args, schema)
+    for key, default in given.items():
+        value = getattr(args, key)
+        if isinstance(default, tuple):
+            assert _int_list({key: value}, key) == list(default), key
+        else:
+            assert value == default and type(value) is type(default), key
+        assert resolved[key] == value, key
+
+
+def test_named_flags():
+    parse = _build_parser().parse_args
+    assert parse(["tensor", "--n", "5"]).cutoff == 5
+    assert parse(["tensor", "--cutoff", "5"]).cutoff == 5
+    assert parse(["evolve", "--n", "5"]).cutoff == 5
+    assert parse(["invariance", "--no-tables"]).tables is False
+    assert parse(["concentration", "--no-resolution-check"]).check_resolution is False
+    args = parse(["sample", "--experimental", "--metropolis"])
+    assert args.experimental is True and args.metropolis is True
+    assert parse(["norms", "--log-correction"]).log_correction is True
+    # an absent switch leaves its key to the config file and the schema
+    assert parse(["invariance"]).tables is None
+
+
 def test_unknown_config_key_exits_three(workdir, capsys):
     (workdir / "cfg.json").write_text(json.dumps({"family": "hol", "niter": 3}))
     assert run(["tensor", "--config", "cfg.json"]) == 3
@@ -147,11 +182,11 @@ def test_invariance_report_pass_and_reproducible(workdir, capsys):
     assert len(report["table_initial"]) == 120
 
 
-def test_invariance_projector_mismatch_exits_three(workdir, capsys):
-    code = run(["invariance", "--measure", "white-noise", "--projector", "smooth",
-                "--n", "4", "--t", "0.5", "--samples", "10"])
-    assert code == 3
-    assert capsys.readouterr().err
+def test_oracle_check_config_rejects_other_families(workdir, capsys):
+    (workdir / "cfg.json").write_text(json.dumps({"family": "radial"}))
+    assert run(["oracle-check", "--config", "cfg.json", "--out", "oracle.json"]) == 3
+    assert "holomorphic" in capsys.readouterr().err
+    assert not (workdir / "oracle.json").exists()
 
 
 def test_oracle_check_passes(workdir, capsys):

@@ -13,7 +13,6 @@ from crlab.measures import (
     GibbsStallError,
     MeasureSpec,
     estimate_partition,
-    log_density_ratio,
     sample,
     sample_ensemble,
     sample_gibbs_metropolis,
@@ -135,15 +134,6 @@ def test_metropolis_matches_rejection_moments():
     assert abs(a.mean() - b.mean()) < 4.0 * se
     again = sample_gibbs_metropolis(spec, 3000, tensor)
     assert np.array_equal(chain, again)
-
-
-def test_log_density_ratio_anchor():
-    tensor = build_tensor(HOLOMORPHIC, 0)
-    from crlab.dynamics import CoefficientState
-
-    state = CoefficientState(HOLOMORPHIC, np.array([1.0 + 0.0j]))
-    val = log_density_ratio(state, 1.0, tensor)
-    assert val == pytest.approx(-math.pi / 8.0, rel=1e-12)
 
 
 def test_partition_estimate():
