@@ -38,7 +38,6 @@ __all__ = [
     "build_quadrature",
     "build_laguerre_rule",
     "eval_hermite_1d",
-    "hermite_functions",
     "hermite_polyparts",
     "laguerre_weighted",
     "laguerre_weighted_single",
@@ -48,9 +47,8 @@ __all__ = [
     "norm_decay_study",
 ]
 
-# Largest |x| for which e^(-x^2/2) stays a normal float64; beyond this the
-# plain recurrences switch to exponent tracking.
-_SAFE_X = 37.0
+# Log of the smallest normal float64: envelopes below it are combined with
+# their polynomial part in log space.
 _LOG_TINY = math.log(np.finfo(float).tiny)
 
 
@@ -264,15 +262,6 @@ def hermite_polyparts(n_max, x):
     return out
 
 
-def hermite_functions(n_max, x):
-    """Normalized Hermite functions h_k(x) for k = 0..n_max, shape (n_max+1, len(x))."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(np.abs(x) > _SAFE_X):
-        return np.stack([eval_hermite_1d(k, x) for k in range(n_max + 1)])
-    with np.errstate(under="ignore"):
-        return hermite_polyparts(n_max, x) * np.exp(-0.5 * x * x)
-
-
 def laguerre_weighted(n_max, u):
     """Weighted Laguerre values psi_k(u) = L_k(u) e^(-u/2) for k = 0..n_max.
 
@@ -429,7 +418,7 @@ def _lp_1d_hermite(k, p, npts):
     lam = 2 * k + 1
     xmax = 1.2 * math.sqrt(2.0 * lam) + 4.0
     x = np.linspace(-xmax, xmax, npts | 1)
-    vals = np.abs(hermite_functions(k, x)[k]) ** p
+    vals = np.abs(eval_hermite_1d(k, x)) ** p
     return _simpson(vals, x[1] - x[0])
 
 
@@ -517,7 +506,7 @@ def lp_norm(family, n, p, npoints=2048):
             for kk in (k, m):
                 xmax = 1.2 * math.sqrt(2.0 * (2 * kk + 1)) + 4.0
                 x = np.linspace(0.0, xmax, npts)  # |h_k| is even in x
-                sup *= _sup_refined(np.abs(hermite_functions(kk, x)[kk]), x)
+                sup *= _sup_refined(np.abs(eval_hermite_1d(kk, x)), x)
             return sup
         return (_lp_1d_hermite(k, p, npts) * _lp_1d_hermite(m, p, npts)) ** (1.0 / p)
 

@@ -59,10 +59,8 @@ _SCHEMAS = {
         "projector": "sharp",
         "t": 1.0,
         "checkpoints": 8,
-        "method": "adaptive-rk",
         "rel_tol": 1e-10,
         "abs_tol": 1e-12,
-        "max_step": None,
         "out": "traj.csv",
         "conservation_out": None,
         "state_out": None,
@@ -92,10 +90,8 @@ _SCHEMAS = {
         "beta": 0.0,
         "start_index": 0,
         "tensor": None,
-        "method": "adaptive-rk",
         "rel_tol": 1e-10,
         "abs_tol": 1e-12,
-        "max_step": None,
         "tables": True,
         "report": "report.json",
     }),
@@ -161,13 +157,12 @@ _FLAGS = {
     "check_resolution": ("--no-resolution-check",),
 }
 
-_TYPES = {"cutoff": int, "max_step": float, "n_radial": int, "n_theta": int}
+_TYPES = {"cutoff": int, "n_radial": int, "n_theta": int}
 
 _CHOICES = {
     "kind": measures.KINDS,
     "measure": measures.KINDS,
     "projector": ("sharp", "smooth"),
-    "method": ("adaptive-rk", "implicit-midpoint"),
     "functional": measures.FUNCTIONALS,
 }
 
@@ -288,12 +283,8 @@ def _float_list(resolved, key):
 
 
 def _integrator(resolved):
-    max_step = resolved.get("max_step")
     return IntegratorConfig(
-        method=str(resolved["method"]),
-        rel_tol=float(resolved["rel_tol"]),
-        abs_tol=float(resolved["abs_tol"]),
-        max_step=math.inf if max_step is None else float(max_step),
+        rel_tol=float(resolved["rel_tol"]), abs_tol=float(resolved["abs_tol"])
     )
 
 

@@ -234,9 +234,9 @@ class CouplingTensor:
 
     Each stored row (n1, n2, n3, n4, weight) has both index pairs sorted,
     n1 <= n2 and n3 <= n4, and represents all ordered quadruples obtained by
-    swapping inside either pair; multiplicity counts them (1, 2, or 4).  The
-    weight is invariant under those swaps and under exchanging the pairs;
-    pair exchange relates distinct stored rows, so it is not folded.
+    swapping inside either pair (1, 2, or 4 of them).  The weight is
+    invariant under those swaps and under exchanging the pairs; pair
+    exchange relates distinct stored rows, so it is not folded.
 
     constant records the measured oracle-to-closed-form ratio the weights
     were normalized with, making cached tensors traceable to the measurement
@@ -258,14 +258,6 @@ class CouplingTensor:
             f"CouplingTensor({self.family.label}, cutoff={self.cutoff}, "
             f"entries={len(self)}, constant={self.constant:.12g})"
         )
-
-    @property
-    def multiplicity(self):
-        """Ordered quadruples per stored row: 2 per strict inequality in a pair."""
-        idx = self.indices
-        m12 = 1 + (idx[:, 0] < idx[:, 1])
-        m34 = 1 + (idx[:, 2] < idx[:, 3])
-        return (m12 * m34).astype(np.float64)
 
     def validate(self):
         """Check every structural invariant; raises ValueError on the first
@@ -408,29 +400,22 @@ def build_tensor(family, N, rule=None):
     constant, spread, _ = proportionality_constant(4)
     if spread > 1e-6:
         raise RuntimeError(f"oracle/alpha ratio spread {spread:.3e}; quadrature broken")
-    if family.kind == "holomorphic":
-        n1, n2, n3, n4 = _block_entries(_resonant_blocks(N))
-        weights = alpha_hol(n1, n2, n3, n4)
-        return _assemble(family, N, n1, n2, n3, n4, weights, constant)
-    if family.kind == "radial":
-        if rule is None:
-            rule = build_laguerre_rule(2 * N + 9, scale=2.0)
-        rule.require_degree(4 * N)
-        psi = laguerre_weighted(N, rule.nodes)
-        pieces = []
-        cols = [[], [], [], []]
-        for s, a, b in _resonant_blocks(N):
-            prod = psi[a] * psi[b]
-            gram = (prod * rule.weights) @ prod.T
-            p = len(a)
-            cols[0].append(np.repeat(a, p))
-            cols[1].append(np.repeat(b, p))
-            cols[2].append(np.tile(a, p))
-            cols[3].append(np.tile(b, p))
-            pieces.append(gram.ravel())
-        # 2 pi * (pi/2) * (1/pi) / constant per quadrature sum
-        weights = np.concatenate(pieces) * (math.pi / constant)
-        n1, n2, n3, n4 = [np.concatenate(c) for c in cols]
+    if family.kind in ("holomorphic", "radial"):
+        blocks = _resonant_blocks(N)
+        n1, n2, n3, n4 = _block_entries(blocks)
+        if family.kind == "holomorphic":
+            weights = alpha_hol(n1, n2, n3, n4)
+        else:
+            if rule is None:
+                rule = build_laguerre_rule(2 * N + 9, scale=2.0)
+            rule.require_degree(4 * N)
+            psi = laguerre_weighted(N, rule.nodes)
+            grams = []
+            for _, a, b in blocks:
+                prod = psi[a] * psi[b]
+                grams.append(((prod * rule.weights) @ prod.T).ravel())
+            # 2 pi * (pi/2) * (1/pi) / constant per quadrature sum
+            weights = np.concatenate(grams) * (math.pi / constant)
         return _assemble(family, N, n1, n2, n3, n4, weights, constant)
     if N != family.level:
         raise ValueError("eigenspace tensor spans the whole eigenspace; cutoff must equal the level")

@@ -6,13 +6,12 @@ stored modes kept as-is) or smoothly (every mode damped by a cutoff profile
 chi(lambda_n/lambda_N), folded into the interaction weights so the truncated
 system is itself the Hamiltonian flow of the projected quartic form).  The
 flow conserves mass sum |c_n|^2, energy sum lambda_n |c_n|^2, and the quartic
-form itself; the integrators monitor all three rather than enforcing them.
+form itself; the integrator monitors all three rather than enforcing them.
 
-Default integrator: embedded adaptive Runge-Kutta 5(4) at rel-tol 1e-10,
-which resolves finite-time flows far below the statistical resolution of the
-ensemble experiments.  An implicit midpoint rule (fixed step, symplectic) is
-available for long-time drift studies.  Time reversal integrates with a
-negative span; nothing is conjugated.
+The one integrator is the embedded adaptive Dormand-Prince 5(4) pair, at
+rel-tol 1e-10 by default, which resolves finite-time flows far below the
+statistical resolution of the ensemble experiments.  Time reversal
+integrates with a negative span; nothing is conjugated.
 """
 
 import json
@@ -60,8 +59,8 @@ __all__ = [
 
 class NumericalError(RuntimeError):
     """The integrator or the quartic form broke down numerically: step-size
-    underflow, a non-finite state, a non-converging implicit solve, or an
-    imaginary quartic-form residual beyond rounding."""
+    underflow, a non-finite state, or an imaginary quartic-form residual
+    beyond rounding."""
 
 
 @dataclass
@@ -96,27 +95,14 @@ class CoefficientState:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Time integration parameters.
+    """Error tolerances of the adaptive Dormand-Prince 5(4) step control."""
 
-    method "adaptive-rk" is an embedded 5(4) pair with PI-free step control;
-    "implicit-midpoint" is a fixed-step symplectic rule whose step is
-    max_step (must be finite there).
-    """
-
-    method: str = "adaptive-rk"
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_step: float = math.inf
 
     def __post_init__(self):
-        if self.method not in ("adaptive-rk", "implicit-midpoint"):
-            raise ValueError(f"unknown integrator method {self.method!r}")
         if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise ValueError("tolerances must be positive")
-        if not self.max_step > 0:
-            raise ValueError("max_step must be positive")
-        if self.method == "implicit-midpoint" and not math.isfinite(self.max_step):
-            raise ValueError("implicit-midpoint needs a finite max_step as its step size")
 
 
 def cutoff_profile(x):
@@ -237,8 +223,6 @@ class FlowKernel:
             return c
         if not math.isfinite(span):
             raise ValueError("time span must be finite")
-        if config.method == "implicit-midpoint":
-            return _implicit_midpoint(self.rhs, c, span, config, observer)
         return _dopri5(self.rhs, c, span, config, observer)
 
 
@@ -296,8 +280,7 @@ def _dopri5(fun, c, span, config, observer):
     k[0] = fun(c)
     if not np.all(np.isfinite(k[0].view(np.float64))):
         raise NumericalError("state became non-finite: the right-hand side overflows at t=0")
-    h = min(_initial_step(fun, c, k[0], direction, config.rel_tol, config.abs_tol, abs(span)),
-            config.max_step)
+    h = _initial_step(fun, c, k[0], direction, config.rel_tol, config.abs_tol, abs(span))
     rejected = False
     while (t_end - t) * direction > 0:
         h = min(h, abs(t_end - t))
@@ -333,32 +316,7 @@ def _dopri5(fun, c, span, config, observer):
         else:
             factor = max(0.2, 0.9 * err ** -0.2)
             rejected = True
-        h = min(h * factor, config.max_step)
-    return c
-
-
-def _implicit_midpoint(fun, c, span, config, observer):
-    if observer is not None:
-        observer(0.0, c)
-    n_steps = max(1, math.ceil(abs(span) / config.max_step))
-    h = span / n_steps
-    t = 0.0
-    for _ in range(n_steps):
-        mid = c + (h / 2.0) * fun(c)
-        for _ in range(100):
-            nxt = c + (h / 2.0) * fun(mid)
-            shift = float(np.max(np.abs(nxt - mid)))
-            mid = nxt
-            if shift <= 1e-14 * (1.0 + float(np.max(np.abs(mid)))):
-                break
-        else:
-            raise NumericalError("implicit midpoint iteration failed to converge; reduce max_step")
-        c = 2.0 * mid - c
-        if not np.all(np.isfinite(c.view(np.float64))):
-            raise NumericalError(f"state became non-finite during step at t={t:.6g}")
-        t += h
-        if observer is not None:
-            observer(t, c)
+        h *= factor
     return c
 
 
@@ -413,54 +371,35 @@ def evolve(state, tensor, proj, t, config=None, checkpoints=None):
     config = config or IntegratorConfig()
     kernel = FlowKernel(tensor, proj)
 
-    log_t, log_m, log_e, log_h = [], [], [], []
+    cps = [] if checkpoints is None else [float(s) for s in checkpoints]
+    if any(not math.isfinite(s) for s in cps):
+        raise ValueError("checkpoints must be finite")
+    sign = 1.0 if t >= 0 else -1.0
+    if sorted(cps, key=lambda s: sign * s) != cps:
+        raise ValueError("checkpoints must be sorted along the direction of t")
+    if cps and (min(cps) < min(0.0, t) or max(cps) > max(0.0, t)):
+        raise ValueError("checkpoints must lie between 0 and t")
+    # stop offsets ending at t; the first len(cps) of them are checkpoints
+    stops = cps if cps and cps[-1] == t else cps + [t]
 
-    def observe(offset, local_t, c, skip_start):
-        if skip_start and local_t == 0.0:
-            return  # segment start repeats the previous segment's end
-        m, e, h = kernel.conserved(c)
-        log_t.append(state.time + offset + local_t)
-        log_m.append(m)
-        log_e.append(e)
-        log_h.append(h)
+    rows = []  # (time, mass, energy, hamiltonian)
+    reached = 0.0
 
-    # (stop offset, is a requested checkpoint) pairs, ending at t
-    if checkpoints is None:
-        stops = [(t, False)]
-    else:
-        cps = [float(s) for s in checkpoints]
-        if any(not math.isfinite(s) for s in cps):
-            raise ValueError("checkpoints must be finite")
-        sign = 1.0 if t >= 0 else -1.0
-        if sorted(cps, key=lambda s: sign * s) != cps:
-            raise ValueError("checkpoints must be sorted along the direction of t")
-        if cps and (min(cps) < min(0.0, t) or max(cps) > max(0.0, t)):
-            raise ValueError("checkpoints must lie between 0 and t")
-        stops = [(s, True) for s in cps]
-        if not cps or cps[-1] != t:
-            stops.append((t, False))
+    def observe(local_t, c):
+        if rows and local_t == 0.0:
+            return  # a segment's start repeats the previous segment's end
+        rows.append((state.time + reached + local_t, *kernel.conserved(c)))
 
     snapshots = []
     c = state.coeffs
-    reached = 0.0
-    first = True
-    for stop, is_checkpoint in stops:
-        span = stop - reached
-        skip = not first
-
-        def obs(lt, cc, base=reached, skip=skip):
-            observe(base, lt, cc, skip)
-
-        c = kernel.evolve(c, span, config, observer=obs)
-        first = False
+    for stop in stops:
+        c = kernel.evolve(c, stop - reached, config, observer=observe)
         reached = stop
-        if is_checkpoint:
+        if len(snapshots) < len(cps):
             snapshots.append(CoefficientState(state.family, c.copy(), state.time + reached))
 
     final = CoefficientState(state.family, c, state.time + t)
-    log = ConservationLog(
-        np.asarray(log_t), np.asarray(log_m), np.asarray(log_e), np.asarray(log_h)
-    )
+    log = ConservationLog(*(np.asarray(column) for column in zip(*rows)))
     return EvolveResult(final, log, snapshots)
 
 

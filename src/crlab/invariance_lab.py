@@ -246,12 +246,7 @@ def invariance_test(spec, tensor, proj, t, n_samples, config=None, start_index=0
         "cutoff": tensor.cutoff,
         "projector": proj.kind,
         "t": float(t),
-        "integrator": {
-            "method": config.method,
-            "rel_tol": config.rel_tol,
-            "abs_tol": config.abs_tol,
-            "max_step": config.max_step if math.isfinite(config.max_step) else None,
-        },
+        "integrator": {"rel_tol": config.rel_tol, "abs_tol": config.abs_tol},
         "tensor_entries": len(tensor),
         "tensor_constant": tensor.constant,
     }

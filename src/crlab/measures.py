@@ -289,9 +289,13 @@ def tail_study(spec, functional, lambdas=None, n_samples=2000, tensor=None,
 
     if lambdas is None:
         lo = float(np.quantile(values, 0.5))
-        hi = float(np.quantile(values, 1.0 - min_tail_hits / n_samples))
+        hi = float(np.quantile(values, max(0.0, 1.0 - min_tail_hits / n_samples)))
         if not hi > lo:
-            raise ValueError("insufficient tail mass: degenerate functional values")
+            raise ValueError(
+                "insufficient tail mass: degenerate functional values between the "
+                f"median and the quantile with {min_tail_hits} expected hits; add "
+                "samples (--samples), give thresholds (--lambdas) or lower --min-tail-hits"
+            )
         lambdas = np.linspace(lo, hi, 12)
     lambdas = np.asarray(lambdas, dtype=np.float64)
 

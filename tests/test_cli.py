@@ -243,3 +243,16 @@ def test_tails_runs(workdir):
                 "--samples", "500", "--seed", "3", "--out", "t.json"]) == 0
     doc = json.loads((workdir / "t.json").read_text())
     assert doc["slope"] < 0
+
+
+# 10 expected tail hits among 20 samples put the top threshold at the median;
+# 25 ask for more hits than there are samples
+@pytest.mark.parametrize("hits", ["10", "25"])
+def test_tails_degenerate_thresholds_exit_three_naming_the_remedy(workdir, capsys, hits):
+    assert run(["tails", "--kind", "white-noise", "--n", "4", "--functional", "L2",
+                "--samples", "20", "--min-tail-hits", hits, "--out", "t.json"]) == 3
+    err = capsys.readouterr().err
+    assert "insufficient tail mass: degenerate functional values" in err
+    for flag in ("--samples", "--lambdas", "--min-tail-hits"):
+        assert flag in err
+    assert not (workdir / "t.json").exists()

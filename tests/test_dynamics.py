@@ -1,5 +1,6 @@
 """Flow integration, conserved quantities, projectors, and field evaluation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -109,16 +110,11 @@ def test_smooth_projector_conserves_folded_hamiltonian():
     assert result.state.coeffs[-1] == pytest.approx(state.coeffs[-1], abs=1e-13)
 
 
-def test_implicit_midpoint_agrees_with_adaptive():
-    tensor = build_tensor(HOLOMORPHIC, 6)
-    proj = Projector("sharp", 6)
-    state = random_state(HOLOMORPHIC, 6, seed=7)
-    a = evolve(state, tensor, proj, 2.0).state
-    config = IntegratorConfig(method="implicit-midpoint", max_step=1e-3)
-    b = evolve(state, tensor, proj, 2.0, config).state
-    assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-5
-    with pytest.raises(ValueError):
-        IntegratorConfig(method="implicit-midpoint")  # needs a finite max_step
+def test_integrator_config_holds_only_tolerances():
+    assert [f.name for f in dataclasses.fields(IntegratorConfig)] == ["rel_tol", "abs_tol"]
+    for bad in ({"rel_tol": 0.0}, {"abs_tol": -1e-12}):
+        with pytest.raises(ValueError, match="tolerances"):
+            IntegratorConfig(**bad)
 
 
 def test_forward_backward_round_trip():
@@ -144,6 +140,28 @@ def test_checkpoints_and_zero_span():
         evolve(state, tensor, proj, 1.0, checkpoints=[0.5, 0.25])
     with pytest.raises(ValueError):
         evolve(state, tensor, proj, 1.0, checkpoints=[2.0])
+
+
+@pytest.mark.parametrize("t", [1.5, -1.5])
+def test_checkpoint_log_has_one_row_per_time(t):
+    tensor = build_tensor(HOLOMORPHIC, 5)
+    proj = Projector("sharp", 5)
+    state = CoefficientState(HOLOMORPHIC, random_state(HOLOMORPHIC, 5, seed=4).coeffs, time=2.0)
+    # a checkpoint at 0 and a repeated one; t / 3 = 0.5 keeps every stop time exact
+    checkpoints = [0.0, t / 3, t / 3, 2 * t / 3]
+    result = evolve(state, tensor, proj, t, checkpoints=checkpoints)
+    log = result.log
+    assert log.times[0] == state.time and log.times[-1] == state.time + t
+    # strictly monotone: no row is repeated where two segments join
+    assert np.all(np.sign(t) * np.diff(log.times) > 0)
+    for stop in checkpoints[1:]:
+        assert np.count_nonzero(log.times == state.time + stop) == 1
+    assert len(log.mass) == len(log.energy) == len(log.hamiltonian) == len(log.times)
+    assert [s.time for s in result.snapshots] == [state.time + s for s in checkpoints]
+    assert np.array_equal(result.snapshots[0].coeffs, evolve(state, tensor, proj, 0.0).state.coeffs)
+    direct = evolve(state, tensor, proj, checkpoints[1]).state
+    assert np.array_equal(result.snapshots[1].coeffs, direct.coeffs)
+    assert np.array_equal(result.snapshots[2].coeffs, direct.coeffs)
 
 
 def test_rhs_is_minus_i_contraction():
@@ -256,16 +274,6 @@ def test_overflowing_first_rhs_is_numerical_error():
         with pytest.raises(NumericalError, match="t=0"):
             dynamics._dopri5(fun, np.full(4, 1e200 + 0j), 1.0, IntegratorConfig(), None)
     assert len(calls) == 1
-
-
-def test_implicit_midpoint_divergence_is_numerical_error():
-    tensor = build_tensor(HOLOMORPHIC, 3)
-    kernel = FlowKernel(tensor, Projector("sharp", 3))
-    config = IntegratorConfig(method="implicit-midpoint", max_step=1.0)
-    # one unit step at amplitude 10 is far outside the fixed point's contraction range
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericalError, match="converge"):
-            kernel.evolve(np.full(4, 10.0 + 0j), 1.0, config)
 
 
 def test_quartic_residual_is_numerical_error():

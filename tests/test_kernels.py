@@ -1,6 +1,10 @@
 """Contraction kernels against a brute-force reference."""
 
 import functools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import crlab
 from crlab.basis import HOLOMORPHIC, RADIAL, eigenspace
 from crlab.coupling import alpha_hol, build_tensor
 from crlab.dynamics import FlowKernel, Projector, _real_quartic
@@ -187,6 +192,35 @@ def test_rhs_bitwise_deterministic():
     a = rhs_apply(plan, c)
     b = rhs_apply(plan, c)
     assert np.array_equal(a, b)
+
+
+# Contracts one 64-row matrix per family (hol N=16 and E_4) and writes the bits.
+_BLAS_PROBE = """
+import sys
+import numpy as np
+from crlab.basis import HOLOMORPHIC, eigenspace
+from crlab.coupling import build_tensor
+from crlab.kernels import BLOCK_ROWS, build_plan, rhs_apply
+rng = np.random.default_rng(5)
+for family, cutoff in ((HOLOMORPHIC, 16), (eigenspace(4), 4)):
+    shape = (BLOCK_ROWS, cutoff + 1)
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    sys.stdout.buffer.write(rhs_apply(build_plan(build_tensor(family, cutoff)), c).tobytes())
+"""
+
+
+def test_matrix_contraction_bits_independent_of_blas_threads():
+    src = str(Path(crlab.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", _BLAS_PROBE], env=env,
+                              capture_output=True, check=True, timeout=120)
+        outputs.append(done.stdout)
+    assert len(outputs[0]) == BLOCK_ROWS * (17 + 5) * 16
+    assert outputs[0] == outputs[1]
 
 
 @functools.cache
