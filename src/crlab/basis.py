@@ -369,9 +369,6 @@ class Grid2D:
     def spacing(self):
         return 2.0 * self.halfwidth / (self.npoints - 1)
 
-    def refined(self, factor=2):
-        return Grid2D(self.halfwidth, (self.npoints - 1) * factor + 1)
-
 
 def default_grid(lambda_max, npoints=512):
     """Grid covering the classically allowed disk plus a tail margin:
@@ -482,19 +479,14 @@ def lp_norm(family, n, p, npoints=2048):
     def compute(npts, extra_nodes):
         if radial_exact:
             return _radial_lp_even(n, int(p), extra_nodes)
+        if family.kind != "eigenspace" and p == math.inf:
+            rmax = 1.2 * math.sqrt(2.0 * family.eigenvalue(n)) + 4.0
+            r = np.linspace(0.0, rmax, npts)
+            vals = np.abs(eval_basis(family, n, r, np.zeros_like(r)))
+            return _sup_refined(vals, r)
         if family.kind == "holomorphic":
-            if p == math.inf:
-                rmax = 1.2 * math.sqrt(2.0 * (2 * n + 2)) + 4.0
-                r = np.linspace(0.0, rmax, npts)
-                vals = np.abs(eval_basis(family, n, r, np.zeros_like(r)))
-                return _sup_refined(vals, r)
             return _hol_lp_finite(n, p, npts)
         if family.kind == "radial":
-            if p == math.inf:
-                rmax = 1.2 * math.sqrt(2.0 * (4 * n + 2)) + 4.0
-                r = np.linspace(0.0, rmax, npts)
-                vals = np.abs(eval_basis(family, n, r, np.zeros_like(r)))
-                return _sup_refined(vals, r)
             umax = 4.0 * n * 1.15 + 30.0
             u = np.linspace(0.0, umax, npts | 1)
             psi = laguerre_weighted_single(n, u)

@@ -248,16 +248,16 @@ def _require(resolved, key):
     return value
 
 
-def _family(resolved, key="family", fallback=None):
-    label = resolved.get(key)
+def _family(resolved, fallback=None):
+    label = resolved.get("family")
     if label is None:
         label = fallback
     if label is None:
-        raise ConfigError(f"missing required key {key!r}")
+        raise ConfigError("missing required key 'family'")
     try:
         return family_from_label(str(label))
     except ValueError as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
+        raise ConfigError(f"family: {exc}") from exc
 
 
 def _int_list(resolved, key):
@@ -431,17 +431,11 @@ def _cmd_sample(resolved):
     return summary, 0, [out]
 
 
-# the one truncation each measure is matched to (see invariance_lab)
-_PROJECTOR = {"white-noise": "sharp", "eigenspace": "sharp",
-              "gibbs": "smooth", "gaussian-free": "smooth"}
-
-
 def _cmd_invariance(resolved):
     spec = _measure_spec(resolved, kind_key="measure")
     tensor = _tensor_for(resolved, spec.family, spec.cutoff)
-    proj = Projector(_PROJECTOR[spec.kind], spec.cutoff)
     report = lab.invariance_test(
-        spec, tensor, proj, float(_require(resolved, "t")),
+        spec, tensor, spec.projector, float(_require(resolved, "t")),
         int(_require(resolved, "samples")), config=_integrator(resolved),
         start_index=int(resolved["start_index"]))
 

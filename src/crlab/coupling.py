@@ -96,18 +96,19 @@ def alpha_hol(n1, n2, n3, n4):
     return float(out) if out.ndim == 0 else out
 
 
-def oracle_rule(family, max_index, extra=8):
+def oracle_rule(family, max_index):
     """Scale-2 quadrature rule sized for oracle_coupling up to max_index.
 
     Gauss-Hermite on the line for the Cartesian families (applied per axis),
     folded half-line Gauss-Laguerre for the radial chain.  The product of
-    four eigenfunctions carries e^{-2|x|^2}, hence scale 2 throughout.
+    four eigenfunctions carries e^{-2|x|^2}, hence scale 2 throughout.  The
+    rules carry 8 nodes beyond the degree the integrands need.
     """
     if family.kind == "radial":
-        return build_laguerre_rule(2 * max_index + 1 + extra, scale=2.0)
+        return build_laguerre_rule(2 * max_index + 9, scale=2.0)
     if family.kind == "eigenspace":
-        return build_quadrature(2 * family.level + 1 + extra, scale=2.0)
-    return build_quadrature(2 * max_index + 1 + extra, scale=2.0)
+        return build_quadrature(2 * family.level + 9, scale=2.0)
+    return build_quadrature(2 * max_index + 9, scale=2.0)
 
 
 def _hermite_product_table(n_max, rule):
@@ -197,7 +198,7 @@ def oracle_coupling(family, n1, n2, n3, n4, rule=None):
 _CONSTANT_CACHE = {}
 
 
-def proportionality_constant(max_index=5, rule=None):
+def proportionality_constant(max_index):
     """Measured ratio oracle_coupling / alpha_hol over the resonant quadruples
     with indices <= max_index.
 
@@ -207,9 +208,9 @@ def proportionality_constant(max_index=5, rule=None):
     normalizations; a spread above 1e-6 means the quadrature is broken.
     """
     key = int(max_index)
-    if rule is None and key in _CONSTANT_CACHE:
+    if key in _CONSTANT_CACHE:
         return _CONSTANT_CACHE[key]
-    sweep_rule = rule if rule is not None else oracle_rule(HOLOMORPHIC, max_index)
+    sweep_rule = oracle_rule(HOLOMORPHIC, max_index)
     ratios = []
     for a1 in range(max_index + 1):
         for a2 in range(a1, max_index + 1):
@@ -224,8 +225,7 @@ def proportionality_constant(max_index=5, rule=None):
     constant = float(ratios.mean())
     spread = float((ratios.max() - ratios.min()) / constant)
     result = (constant, spread, len(ratios))
-    if rule is None:
-        _CONSTANT_CACHE[key] = result
+    _CONSTANT_CACHE[key] = result
     return result
 
 
@@ -386,7 +386,7 @@ def _block_entries(blocks):
     return [np.concatenate(c) for c in cols]
 
 
-def build_tensor(family, N, rule=None):
+def build_tensor(family, N):
     """Every resonant interaction class with indices <= N, as a CouplingTensor.
 
     Holomorphic weights come from the closed form.  Radial and eigenspace
@@ -406,9 +406,7 @@ def build_tensor(family, N, rule=None):
         if family.kind == "holomorphic":
             weights = alpha_hol(n1, n2, n3, n4)
         else:
-            if rule is None:
-                rule = build_laguerre_rule(2 * N + 9, scale=2.0)
-            rule.require_degree(4 * N)
+            rule = build_laguerre_rule(2 * N + 9, scale=2.0)
             psi = laguerre_weighted(N, rule.nodes)
             grams = []
             for _, a, b in blocks:
@@ -419,9 +417,7 @@ def build_tensor(family, N, rule=None):
         return _assemble(family, N, n1, n2, n3, n4, weights, constant)
     if N != family.level:
         raise ValueError("eigenspace tensor spans the whole eigenspace; cutoff must equal the level")
-    if rule is None:
-        rule = oracle_rule(family, N)
-    rule.require_degree(4 * N)
+    rule = oracle_rule(family, N)
     table = _hermite_product_table(N, rule)
     a, b = np.triu_indices(N + 1)
     prod = table[a] * table[b]
@@ -443,8 +439,9 @@ def build_tensor(family, N, rule=None):
     )
 
 
-def reference_weights(tensor, rows=None):
-    """Independently recomputed weights for selected tensor rows.
+def reference_weights(tensor):
+    """Independently recomputed weights for an evenly strided subset of at
+    most 32 tensor rows.
 
     Holomorphic rows use the closed form, radial and eigenspace rows the
     quadrature oracle divided by the tensor's stored constant.  Reports use
@@ -453,13 +450,9 @@ def reference_weights(tensor, rows=None):
     invariance verdict, so corrupted or rescaled weights are only caught by
     direct recomputation.
 
-    Returns (rows, reference) arrays; rows defaults to an evenly strided
-    subset of at most 32 entries.
+    Returns (rows, reference) arrays.
     """
-    if rows is None:
-        rows = np.unique(np.linspace(0, len(tensor) - 1, min(len(tensor), 32)).astype(np.int64))
-    else:
-        rows = np.asarray(rows, dtype=np.int64)
+    rows = np.unique(np.linspace(0, len(tensor) - 1, min(len(tensor), 32)).astype(np.int64))
     idx = tensor.indices[rows]
     if tensor.family.kind == "holomorphic":
         ref = alpha_hol(idx[:, 0], idx[:, 1], idx[:, 2], idx[:, 3])

@@ -14,7 +14,6 @@ statistical resolution of the ensemble experiments.  Time reversal
 integrates with a negative span; nothing is conjugated.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -178,9 +177,6 @@ class FlowKernel:
     def __init__(self, tensor, projector):
         if projector.cutoff != tensor.cutoff:
             raise ValueError("projector cutoff does not match the tensor")
-        self.tensor = tensor
-        self.projector = projector
-        self.family = tensor.family
         self.n_modes = tensor.cutoff + 1
         chi = None if projector.kind == "sharp" else projector.weights(tensor.family)
         self.plan = kernels.build_plan(tensor, chi)
@@ -204,22 +200,24 @@ class FlowKernel:
         c = np.asarray(coeffs, dtype=np.complex128)
         return _real_quartic(np.sum(np.conj(c) * self.contraction(c), axis=1))
 
-    def conserved(self, c):
-        """(mass, energy, hamiltonian) triple for the log."""
+    def conserved(self, c, f):
+        """(mass, energy, hamiltonian) triple for the log; H = vdot(c, i f)
+        reads the quartic form off f = rhs(c), which the integrator holds."""
         actions = c.real ** 2 + c.imag ** 2
-        return float(actions.sum()), float(self.eigenvalues @ actions), self.hamiltonian(c)
+        ham = float(_real_quartic(np.vdot(c, 1j * f)))
+        return float(actions.sum()), float(self.eigenvalues @ actions), ham
 
     def evolve(self, coeffs, span, config=None, observer=None):
         """Integrate the coefficient vector over a time span (either sign).
 
-        observer(t, c) is called at t=0 and after every accepted step.
-        Returns the final coefficient vector (a new array).
+        observer(t, c, f) is called at t=0 and after every accepted step,
+        with f = rhs(c).  Returns the final coefficient vector (a new array).
         """
         config = config or IntegratorConfig()
         c = np.array(coeffs, dtype=np.complex128)
         if span == 0.0:
             if observer is not None:
-                observer(0.0, c)
+                observer(0.0, c, self.rhs(c))
             return c
         if not math.isfinite(span):
             raise ValueError("time span must be finite")
@@ -274,12 +272,12 @@ def _dopri5(fun, c, span, config, observer):
     t = 0.0
     t_end = span
     direction = 1.0 if span > 0 else -1.0
-    if observer is not None:
-        observer(t, c)
     k = [None] * 7
     k[0] = fun(c)
     if not np.all(np.isfinite(k[0].view(np.float64))):
         raise NumericalError("state became non-finite: the right-hand side overflows at t=0")
+    if observer is not None:
+        observer(t, c, k[0])
     h = _initial_step(fun, c, k[0], direction, config.rel_tol, config.abs_tol, abs(span))
     rejected = False
     while (t_end - t) * direction > 0:
@@ -308,7 +306,7 @@ def _dopri5(fun, c, span, config, observer):
             c = c_new
             k[0] = k[6]  # first stage of the next step equals the last of this one
             if observer is not None:
-                observer(t, c)
+                observer(t, c, k[0])
             factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.2)
             if rejected:
                 factor = min(factor, 1.0)
@@ -385,10 +383,10 @@ def evolve(state, tensor, proj, t, config=None, checkpoints=None):
     rows = []  # (time, mass, energy, hamiltonian)
     reached = 0.0
 
-    def observe(local_t, c):
+    def observe(local_t, c, f):
         if rows and local_t == 0.0:
             return  # a segment's start repeats the previous segment's end
-        rows.append((state.time + reached + local_t, *kernel.conserved(c)))
+        rows.append((state.time + reached + local_t, *kernel.conserved(c, f)))
 
     snapshots = []
     c = state.coeffs

@@ -4,10 +4,11 @@ invariance_test evolves an ensemble drawn from a candidate invariant
 measure and compares observable marginals before and after: per-observable
 z-scores on means plus two-sample Kolmogorov-Smirnov tests with a
 Bonferroni correction.  The sampler, the flow, and the truncation must be
-a matched triple (eigenspace measure with the eigenspace tensor and sharp
-truncation, Gibbs and the free Gaussian with the smooth truncation, white
-noise with the sharp one); mismatched configurations are rejected up
-front, since a PASS would then be evidence about the wrong theorem.
+a matched triple: the tensor of the measure's family and cutoff, and the
+truncation MeasureSpec.projector declares for the measure's kind (sharp
+for white noise and the eigenspace measure, smooth for Gibbs and the free
+Gaussian).  Mismatched configurations are rejected up front, since a PASS
+would then be evidence about the wrong theorem.
 
 recurrence_experiment watches single eigenspace orbits return near their
 initial data, cauchy_study measures the decay of E||T_N(u) - T_M(u)||^2
@@ -23,8 +24,8 @@ import numpy as np
 from scipy import stats
 
 from . import coupling, measures
-from .basis import GridResolutionError, eigenspace
-from .dynamics import FlowKernel, IntegratorConfig, Projector
+from .basis import HOLOMORPHIC, GridResolutionError, eigenspace
+from .dynamics import FlowKernel, IntegratorConfig
 
 __all__ = [
     "ConfigError",
@@ -42,6 +43,7 @@ Z_MAX = 4.0
 KS_ALPHA = 1e-3
 DRIFT_TOL = 1e-6
 CALIBRATION_TOL = 1e-6
+_SIGMA = 1.5  # the standard observable set's negative Sobolev norm is H^{-_SIGMA}
 
 
 class ConfigError(ValueError):
@@ -53,7 +55,7 @@ class ObservableSet:
 
     The standard set is every per-mode action |c_n|^2, Re c_n and Im c_n,
     plus mass, energy, the (truncation-folded) quartic form, and the
-    H^{-sigma} norm: enough marginals to catch sign, scaling, and
+    H^{-3/2} norm: enough marginals to catch sign, scaling, and
     normalization bugs in either the sampler or the flow.
     """
 
@@ -72,14 +74,14 @@ class ObservableSet:
         return table
 
     @classmethod
-    def standard(cls, kernel, sigma=1.5):
+    def standard(cls, kernel):
         n_modes = kernel.n_modes
         lam = np.asarray(kernel.eigenvalues, dtype=np.float64)
         names = (
             [f"action_{n}" for n in range(n_modes)]
             + [f"re_{n}" for n in range(n_modes)]
             + [f"im_{n}" for n in range(n_modes)]
-            + ["mass", "energy", "hamiltonian", f"h_minus_{sigma:g}"]
+            + ["mass", "energy", "hamiltonian", f"h_minus_{_SIGMA:g}"]
         )
 
         def evaluate(coeffs):
@@ -92,7 +94,7 @@ class ObservableSet:
                 actions.sum(axis=1)[:, None],
                 (actions @ lam)[:, None],
                 ham[:, None],
-                np.sqrt(actions @ lam ** -sigma)[:, None],
+                np.sqrt(actions @ lam ** -_SIGMA)[:, None],
             ]
             return np.hstack(cols)
 
@@ -149,20 +151,11 @@ def _check_consistency(spec, tensor, proj):
             f"cutoffs disagree: measure {spec.cutoff}, tensor {tensor.cutoff}, "
             f"projector {proj.cutoff}"
         )
-    if spec.kind == "eigenspace":
-        if tensor.family.kind != "eigenspace":
-            raise ConfigError("the eigenspace measure needs the eigenspace tensor")
-        if proj.kind != "sharp":
-            raise ConfigError(
-                "the smooth profile vanishes on an eigenspace (all modes sit at "
-                "the cutoff); use the sharp truncation"
-            )
-    elif spec.kind in ("gibbs", "gaussian-free"):
-        if proj.kind != "smooth":
-            raise ConfigError(f"the {spec.kind} measure is matched to the smooth truncation")
-    elif spec.kind == "white-noise":
-        if proj.kind != "sharp":
-            raise ConfigError("white noise is matched to the sharp truncation")
+    if proj != spec.projector:
+        raise ConfigError(
+            f"the {spec.kind} measure is matched to the {spec.projector.kind} "
+            f"truncation, not the {proj.kind} one"
+        )
 
 
 def invariance_test(spec, tensor, proj, t, n_samples, config=None, start_index=0):
@@ -187,8 +180,7 @@ def invariance_test(spec, tensor, proj, t, n_samples, config=None, start_index=0
     kernel = FlowKernel(tensor, proj)
     observables = ObservableSet.standard(kernel)
 
-    c0 = measures.sample_ensemble(spec, n_samples, tensor=tensor, projector=proj,
-                                  start_index=start_index)
+    c0 = measures.sample_ensemble(spec, n_samples, tensor=tensor, start_index=start_index)
     c1 = np.empty_like(c0)
     for i in range(n_samples):
         c1[i] = kernel.evolve(c0[i], t, config)
@@ -266,8 +258,7 @@ def invariance_test(spec, tensor, proj, t, n_samples, config=None, start_index=0
     )
 
 
-def recurrence_experiment(level, t_max, dt, n_samples, theta=0.1, seed=0,
-                          tensor=None, config=None):
+def recurrence_experiment(level, t_max, dt, n_samples, theta=0.1, seed=0):
     """Watch eigenspace orbits come back: for each sample from the level-N
     eigenspace measure, record d(t) = ||c(t) - c(0)||_2 on a dt-spaced time
     grid and its running minimum.
@@ -286,13 +277,8 @@ def recurrence_experiment(level, t_max, dt, n_samples, theta=0.1, seed=0,
     if theta <= 0:
         raise ConfigError("theta must be positive")
     family = eigenspace(level)
-    if tensor is None:
-        tensor = coupling.build_tensor(family, level)
-    proj = Projector("sharp", level)
     spec = measures.MeasureSpec("eigenspace", family, level, seed=seed)
-    _check_consistency(spec, tensor, proj)
-    config = config or IntegratorConfig()
-    kernel = FlowKernel(tensor, proj)
+    kernel = FlowKernel(coupling.build_tensor(family, level), spec.projector)
 
     n_steps = int(math.ceil(t_max / dt - 1e-9))
     times = dt * np.arange(1, n_steps + 1)
@@ -301,7 +287,7 @@ def recurrence_experiment(level, t_max, dt, n_samples, theta=0.1, seed=0,
     for i in range(n_samples):
         c = c0[i]
         for k in range(n_steps):
-            c = kernel.evolve(c, dt, config)
+            c = kernel.evolve(c, dt)
             distances[i, k] = float(np.linalg.norm(c - c0[i]))
 
     running_min = np.minimum.accumulate(distances, axis=1)
@@ -336,7 +322,7 @@ def recurrence_experiment(level, t_max, dt, n_samples, theta=0.1, seed=0,
     }
 
 
-def cauchy_study(sigma, cutoff, m_values, n_samples, seed=0, tensor=None):
+def cauchy_study(sigma, cutoff, m_values, n_samples, seed=0):
     """Monte Carlo E || T_N(u) - T_M(u) ||^2 in H^{-sigma} under white noise.
 
     T_M masks the input to modes <= M, applies the full trilinear
@@ -350,14 +336,8 @@ def cauchy_study(sigma, cutoff, m_values, n_samples, seed=0, tensor=None):
     m_values = sorted(int(m) for m in m_values)
     if not m_values or m_values[-1] > cutoff or m_values[0] < 0:
         raise ConfigError("need masks 0 <= M <= cutoff")
-    from .basis import HOLOMORPHIC
-
-    if tensor is None:
-        tensor = coupling.build_tensor(HOLOMORPHIC, cutoff)
-    if tensor.cutoff != cutoff:
-        raise ConfigError("tensor cutoff must match the study cutoff")
-    spec = measures.MeasureSpec("white-noise", tensor.family, cutoff, seed=seed)
-    kernel = FlowKernel(tensor, Projector("sharp", cutoff))
+    spec = measures.MeasureSpec("white-noise", HOLOMORPHIC, cutoff, seed=seed)
+    kernel = FlowKernel(coupling.build_tensor(HOLOMORPHIC, cutoff), spec.projector)
     lam = np.asarray(kernel.eigenvalues, dtype=np.float64)
     sob = lam ** (-float(sigma))
 

@@ -42,6 +42,13 @@ __all__ = [
 
 KINDS = ("eigenspace", "gaussian-free", "gibbs", "white-noise")
 
+# The one truncation each measure is matched to.  The smooth profile vanishes
+# on an eigenspace (every mode sits at the cutoff), so the eigenspace measure
+# goes with the sharp flow, as white noise does; the Gibbs weight (gaussian-
+# free is its beta = 0 case) is the smooth-projected quartic form.
+_MATCHED_TRUNCATION = {"eigenspace": "sharp", "gaussian-free": "smooth",
+                       "gibbs": "smooth", "white-noise": "sharp"}
+
 # consecutive rejections declaring the acceptance rate (< 1e-4) collapsed
 _STALL_WINDOW = 10_000
 
@@ -97,6 +104,11 @@ class MeasureSpec:
     def n_modes(self):
         return self.cutoff + 1
 
+    @property
+    def projector(self):
+        """The truncation whose flow this measure is matched to."""
+        return Projector(_MATCHED_TRUNCATION[self.kind], self.cutoff)
+
     def to_dict(self):
         return {
             "kind": self.kind,
@@ -140,17 +152,14 @@ def _base_scale(spec):
     return 1.0 / np.sqrt(lam)
 
 
-def _gibbs_weight(spec, tensor, projector):
-    """The log-weight functional -beta H and its kernel, validated."""
+def _gibbs_weight(spec, tensor):
+    """The kernel of the Gibbs weight e^{-beta H}, with H the quartic form
+    projected by the measure's matched (smooth) truncation, validated."""
     if tensor is None:
         raise ValueError("gibbs sampling needs the coupling tensor")
     if tensor.family != spec.family or tensor.cutoff != spec.cutoff:
         raise ValueError("gibbs tensor must match the measure's family and cutoff")
-    if projector is None:
-        projector = Projector("smooth", spec.cutoff)
-    if projector.cutoff != spec.cutoff:
-        raise ValueError("projector cutoff must match the measure")
-    return FlowKernel(tensor, projector)
+    return FlowKernel(tensor, spec.projector)
 
 
 def _draw_gibbs(spec, index, kernel, scale):
@@ -169,23 +178,23 @@ def _draw_gibbs(spec, index, kernel, scale):
             )
 
 
-def sample(spec, index=0, tensor=None, projector=None):
+def sample(spec, index=0, tensor=None):
     """One draw from the measure as a CoefficientState.
 
     index selects the sample's private random stream; (spec, index) fully
-    determine the result.  tensor (and optionally projector, default the
-    smooth truncation) are required for gibbs, ignored otherwise.
+    determine the result.  tensor is required for gibbs, whose weight is the
+    quartic form projected by spec.projector, and ignored otherwise.
     """
-    c = sample_ensemble(spec, 1, tensor, projector, start_index=index)[0]
+    c = sample_ensemble(spec, 1, tensor, start_index=index)[0]
     return CoefficientState(spec.family, c)
 
 
-def sample_ensemble(spec, count, tensor=None, projector=None, start_index=0):
+def sample_ensemble(spec, count, tensor=None, start_index=0):
     """count draws as a complex matrix, row i from stream start_index + i."""
     if count <= 0:
         raise ValueError("count must be positive")
     scale = _base_scale(spec)
-    kernel = _gibbs_weight(spec, tensor, projector) if spec.kind == "gibbs" else None
+    kernel = _gibbs_weight(spec, tensor) if spec.kind == "gibbs" else None
     out = np.empty((count, spec.n_modes), dtype=np.complex128)
     for i in range(count):
         if kernel is not None:
@@ -196,7 +205,7 @@ def sample_ensemble(spec, count, tensor=None, projector=None, start_index=0):
     return out
 
 
-def sample_gibbs_metropolis(spec, count, tensor, projector=None, burn_in=200, thin=5):
+def sample_gibbs_metropolis(spec, count, tensor, burn_in=200, thin=5):
     """Independence-Metropolis fallback for large beta.
 
     Proposes fresh gaussian-free draws and accepts with
@@ -206,7 +215,7 @@ def sample_gibbs_metropolis(spec, count, tensor, projector=None, burn_in=200, th
     """
     if spec.kind != "gibbs":
         raise ValueError("metropolis sampler is for gibbs specs")
-    kernel = _gibbs_weight(spec, tensor, projector)
+    kernel = _gibbs_weight(spec, tensor)
     scale = _base_scale(spec)
     rng = _stream(spec.seed, 2 ** 63)  # outside the per-sample index range
     x = scale * _complex_gaussians(rng, spec.n_modes)
@@ -226,7 +235,7 @@ def sample_gibbs_metropolis(spec, count, tensor, projector=None, burn_in=200, th
     return out
 
 
-def estimate_partition(spec, n_samples, tensor, projector=None):
+def estimate_partition(spec, n_samples, tensor):
     """Monte Carlo (mean, stderr) of e^{-beta H} under the gaussian-free base.
 
     This is the reciprocal normalization constant of the Gibbs measure; for
@@ -236,7 +245,7 @@ def estimate_partition(spec, n_samples, tensor, projector=None):
         raise ValueError("partition estimation is for gibbs specs")
     if n_samples < 100:
         raise ValueError("need n_samples >= 100")
-    kernel = _gibbs_weight(spec, tensor, projector)
+    kernel = _gibbs_weight(spec, tensor)
     base = MeasureSpec("gaussian-free", spec.family, spec.cutoff, seed=spec.seed)
     vals = np.exp(-spec.beta * kernel.hamiltonians(sample_ensemble(base, n_samples)))
     mean = float(vals.mean())
@@ -271,7 +280,7 @@ def _functional_values(spec, coeffs, functional, grid_points):
 
 
 def tail_study(spec, functional, lambdas=None, n_samples=2000, tensor=None,
-               projector=None, min_tail_hits=20, grid_points=256):
+               min_tail_hits=20, grid_points=256):
     """Empirical log-survival curve of a norm functional, with a sub-Gaussian
     fit.
 
@@ -284,7 +293,7 @@ def tail_study(spec, functional, lambdas=None, n_samples=2000, tensor=None,
     """
     if functional not in FUNCTIONALS:
         raise ValueError(f"functional must be one of {FUNCTIONALS}")
-    coeffs = sample_ensemble(spec, n_samples, tensor, projector)
+    coeffs = sample_ensemble(spec, n_samples, tensor)
     values = _functional_values(spec, coeffs, functional, grid_points)
 
     if lambdas is None:

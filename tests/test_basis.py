@@ -85,8 +85,6 @@ def test_grid2d_axis_and_refinement():
     ax = g.axis()
     assert len(ax) == 64
     assert math.isclose(ax[1] - ax[0], g.spacing)
-    fine = g.refined()
-    assert fine.npoints > g.npoints
 
 
 def test_lp_norms_ground_state_anchors():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from crlab.basis import HOLOMORPHIC, RADIAL, eigenspace
@@ -120,6 +122,59 @@ def test_load_tensor_rejects_corruption(tmp_path):
     blob = bytearray(path.read_bytes())
     blob[len(blob) // 2] ^= 0xFF
     path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError):
+        load_tensor(path)
+
+
+CACHE_TENSORS = [(HOLOMORPHIC, 6), (RADIAL, 4), (eigenspace(3), 3)]
+CACHE_PROPERTY = settings(derandomize=True, max_examples=25, deadline=None)
+
+
+@pytest.fixture(scope="module", params=CACHE_TENSORS, ids=lambda ft: ft[0].label)
+def cache(request, tmp_path_factory):
+    """A tensor, a scratch path, and the bytes of the tensor's saved cache."""
+    family, cutoff = request.param
+    tensor = build_tensor(family, cutoff)
+    folder = tmp_path_factory.mktemp("cache")
+    tensor.save(folder / "tensor.bin")
+    return tensor, folder / "scratch.bin", (folder / "tensor.bin").read_bytes()
+
+
+@CACHE_PROPERTY
+@given(data=st.data())
+def test_cache_round_trip_is_bitwise(cache, data):
+    tensor, path, _ = cache
+    finite = st.floats(1e-300, 1e300)
+    weights = np.array(data.draw(st.lists(finite, min_size=len(tensor), max_size=len(tensor))))
+    original = CouplingTensor(tensor.family, tensor.cutoff, tensor.indices, weights,
+                              data.draw(finite))
+    original.save(path)
+    back = load_tensor(path)
+    assert (back.family, back.cutoff) == (original.family, original.cutoff)
+    assert np.array_equal(back.indices, original.indices)
+    assert back.weights.tobytes() == original.weights.tobytes()
+    assert back.constant == original.constant
+    blob = path.read_bytes()
+    back.save(path)
+    assert path.read_bytes() == blob
+
+
+@CACHE_PROPERTY
+@given(data=st.data())
+def test_cache_truncation_is_rejected(cache, data):
+    _, path, blob = cache
+    path.write_bytes(blob[:data.draw(st.integers(0, len(blob) - 1))])
+    with pytest.raises(ValueError):
+        load_tensor(path)
+
+
+@CACHE_PROPERTY
+@given(data=st.data())
+def test_cache_byte_flip_is_rejected(cache, data):
+    _, path, blob = cache
+    corrupt = bytearray(blob)
+    corrupt[data.draw(st.integers(0, len(blob) - 1))] ^= data.draw(st.integers(1, 255))
+    path.write_bytes(bytes(corrupt))
     with pytest.raises(ValueError):
         load_tensor(path)
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from crlab import dynamics
+from crlab import dynamics, kernels
 from crlab.basis import HOLOMORPHIC, RADIAL, Grid2D, eigenspace
 from crlab.coupling import CouplingTensor, build_tensor
 from crlab.dynamics import (
@@ -176,10 +176,29 @@ def test_scalar_functionals_match_kernel():
     tensor = build_tensor(HOLOMORPHIC, 6)
     state = random_state(HOLOMORPHIC, 6, seed=3)
     kernel = FlowKernel(tensor, Projector("sharp", 6))
-    m, e, h = kernel.conserved(state.coeffs)
+    m, e, h = kernel.conserved(state.coeffs, kernel.rhs(state.coeffs))
     assert mass(state) == pytest.approx(m, rel=1e-14)
     assert energy(state) == pytest.approx(e, rel=1e-14)
     assert hamiltonian(state, tensor) == pytest.approx(h, rel=1e-13)
+
+
+@pytest.mark.parametrize("kind", ["sharp", "smooth"])
+def test_conservation_log_costs_no_extra_contractions(monkeypatch, kind):
+    # the log reads each state's quartic form off the integrator's first stage
+    tensor = build_tensor(HOLOMORPHIC, 16)
+    proj = Projector(kind, 16)
+    state = random_state(HOLOMORPHIC, 16, seed=5)
+    calls = []
+    apply = kernels.rhs_apply
+    monkeypatch.setattr(kernels, "rhs_apply", lambda plan, c: calls.append(1) or apply(plan, c))
+    FlowKernel(tensor, proj).evolve(state.coeffs, 5.0)
+    bare = len(calls)
+    result = evolve(state, tensor, proj, 5.0)
+    assert len(calls) - bare == bare
+    assert len(result.log.times) > 2
+    kernel = FlowKernel(tensor, proj)
+    assert result.log.hamiltonian[0] == kernel.hamiltonian(state.coeffs)
+    assert result.log.hamiltonian[-1] == kernel.hamiltonian(result.state.coeffs)
 
 
 def test_sobolev_norm_anchors():

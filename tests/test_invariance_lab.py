@@ -176,9 +176,6 @@ def test_cauchy_rejects_bad_sigma_and_masks():
         cauchy_study(1.0, 8, [2, 4], 10)
     with pytest.raises(ConfigError):
         cauchy_study(1.5, 8, [2, 16], 10)
-    tensor = build_tensor(HOLOMORPHIC, 8)
-    with pytest.raises(ConfigError):
-        cauchy_study(1.5, 12, [2, 4], 10, tensor=tensor)
 
 
 def test_concentration_structure_and_determinism():

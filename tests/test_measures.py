@@ -8,7 +8,6 @@ from scipy import stats
 
 from crlab.basis import HOLOMORPHIC, RADIAL, eigenspace
 from crlab.coupling import build_tensor
-from crlab.dynamics import Projector
 from crlab.measures import (
     GibbsStallError,
     MeasureSpec,
@@ -87,12 +86,13 @@ def test_gibbs_beta_zero_equals_gaussian_free():
 
 
 def test_gibbs_single_mode_density():
-    # N=0 with the sharp projector: s = |c_0|^2 has density
-    # proportional to exp(-2 s - beta (pi/8) s^2); chi-square GOF
+    # N=1 with the matched smooth projector: chi keeps mode 0 whole and
+    # freezes mode 1, so the weight is beta (pi/8) |c_0|^4 and s = |c_0|^2
+    # has density proportional to exp(-2 s - beta (pi/8) s^2); chi-square GOF
     beta = 2.0
-    tensor = build_tensor(HOLOMORPHIC, 0)
-    spec = MeasureSpec("gibbs", HOLOMORPHIC, 0, beta=beta, seed=20)
-    c = sample_ensemble(spec, 6000, tensor=tensor, projector=Projector("sharp", 0))
+    tensor = build_tensor(HOLOMORPHIC, 1)
+    spec = MeasureSpec("gibbs", HOLOMORPHIC, 1, beta=beta, seed=20)
+    c = sample_ensemble(spec, 6000, tensor=tensor)
     s = np.abs(c[:, 0]) ** 2
 
     grid = np.linspace(0.0, s.max() * 1.2, 4001)
