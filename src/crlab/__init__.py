@@ -12,6 +12,7 @@ from .basis import (
     HOLOMORPHIC,
     RADIAL,
     BasisFamily,
+    GridResolutionError,
     eigenspace,
     family_from_label,
     hermite_polyparts,
@@ -33,7 +34,6 @@ from .dynamics import (
     IntegratorConfig,
     Projector,
     FlowKernel,
-    GridResolutionError,
     NumericalError,
     evolve,
     rhs,
@@ -42,7 +42,6 @@ from .dynamics import (
     hamiltonian,
     sobolev_norm,
     spacetime_l4,
-    eval_field,
     state_from_dict,
     state_to_dict,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "hamiltonian",
     "sobolev_norm",
     "spacetime_l4",
-    "eval_field",
     "state_from_dict",
     "state_to_dict",
     "MeasureSpec",

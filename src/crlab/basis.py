@@ -16,7 +16,8 @@ Evaluation never forms factorials or raw Hermite polynomials: the 1D chain
 uses the normalized three-term recurrence, the holomorphic chain a polar log
 form, and the radial chain the bounded weighted-Laguerre recurrence.  The
 Gaussian envelope is kept separate wherever quadrature needs the polynomial
-part alone.
+part alone.  sup_norms, the sup norm of whole fields, reads every family as
+an angular Fourier series on one polar grid.
 """
 
 import math
@@ -33,7 +34,6 @@ __all__ = [
     "eigenspace",
     "family_from_label",
     "QuadratureRule",
-    "Grid2D",
     "GridResolutionError",
     "build_quadrature",
     "build_laguerre_rule",
@@ -42,9 +42,9 @@ __all__ = [
     "laguerre_weighted",
     "laguerre_weighted_single",
     "eval_basis",
-    "default_grid",
     "lp_norm",
     "norm_decay_study",
+    "sup_norms",
 ]
 
 # Log of the smallest normal float64: envelopes below it are combined with
@@ -355,27 +355,6 @@ def eval_basis(family, n, x1, x2):
     return complex(out[0]) if scalar else out
 
 
-@dataclass(frozen=True)
-class Grid2D:
-    """Uniform square grid [-halfwidth, halfwidth]^2 with npoints per axis."""
-
-    halfwidth: float
-    npoints: int
-
-    def axis(self):
-        return np.linspace(-self.halfwidth, self.halfwidth, self.npoints)
-
-    @property
-    def spacing(self):
-        return 2.0 * self.halfwidth / (self.npoints - 1)
-
-
-def default_grid(lambda_max, npoints=512):
-    """Grid covering the classically allowed disk plus a tail margin:
-    half-width 1.2 sqrt(2 lambda_max) + 3."""
-    return Grid2D(halfwidth=1.2 * math.sqrt(2.0 * lambda_max) + 3.0, npoints=npoints)
-
-
 # ---------------------------------------------------------------------------
 # L^p norms
 
@@ -419,15 +398,18 @@ def _lp_1d_hermite(k, p, npts):
     return _simpson(vals, x[1] - x[0])
 
 
+def _parabola_vertex(y0, y1, y2):
+    """Vertex height of the parabola through three equally spaced values
+    where it opens downward; the middle value otherwise."""
+    denom = y0 - 2.0 * y1 + y2
+    return y1 - 0.125 * (y0 - y2) ** 2 / denom if denom < 0 else y1
+
+
 def _sup_refined(values, xs):
     # grid max plus parabolic refinement through the bracketing triple
     i = int(np.argmax(values))
     if 0 < i < len(xs) - 1:
-        y0, y1, y2 = values[i - 1], values[i], values[i + 1]
-        denom = y0 - 2.0 * y1 + y2
-        if denom < 0:
-            peak = y1 - 0.125 * (y0 - y2) ** 2 / denom
-            return float(max(peak, y1))
+        return float(max(_parabola_vertex(*values[i - 1:i + 2]), values[i]))
     return float(values[i])
 
 
@@ -547,3 +529,130 @@ def norm_decay_study(family, p, n_values, log_correction=False, npoints=2048):
         "log_coeff": float(coef[2]) if log_correction else None,
         "r2": r2,
     }
+
+
+# ---------------------------------------------------------------------------
+# sup norms on a polar grid
+#
+# Every family's field is an angular Fourier series
+# u(r, theta) = sum_j g_j R_j(r) e^{i l_j theta}: holomorphic mode n is the
+# harmonic l = n, radial mode n is l = 0, and an eigenspace E_N is read in
+# its rotation-adapted basis, l = -N, -N+2, ..., N.
+
+def _harmonics(family, n_modes):
+    """The angular harmonic l_j of each coefficient row j."""
+    j = np.arange(n_modes)
+    if family.kind == "holomorphic":
+        return j
+    if family.kind == "radial":
+        return np.zeros_like(j)
+    return -family.level + 2 * j
+
+
+def _angular_radial_table(family, ells, r):
+    """Radial profiles R_j(r), one row per coefficient, on the radii r.
+
+    Holomorphic: r^n e^{-r^2/2} / sqrt(pi n!) in log form.  Radial:
+    psi_n(r^2) / sqrt(pi).  Eigenspace: R_{N,l}(r) = pi^{-1/2}
+    psi_m^{(|l|)}(r^2) with m = (N-|l|)/2, where psi_m^{(a)}(u) =
+    sqrt(m!/(m+a)!) u^{a/2} L_m^{(a)}(u) e^{-u/2} is the L^2(du)-orthonormal
+    weighted Laguerre family, run in this normalized form so every
+    intermediate stays within float range.
+    """
+    u = np.asarray(r, dtype=np.float64) ** 2
+    out = np.empty((len(ells), len(u)))
+    if family.kind == "holomorphic":
+        n = np.asarray(ells, dtype=np.float64)[:, None]
+        with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
+            out[:] = np.exp(0.5 * (n * np.log(u) - u - gammaln(n + 1.0) - math.log(math.pi)))
+        out[0, u == 0] = 1.0 / math.sqrt(math.pi)  # 0 * log 0 is nan above
+        return out
+    if family.kind == "radial":
+        for n in range(len(ells)):
+            out[n] = laguerre_weighted_single(n, u) / math.sqrt(math.pi)
+        return out
+    logu = np.where(u > 0, np.log(np.maximum(u, 1e-300)), -np.inf)
+    for j, ell in enumerate(np.abs(ells).tolist()):
+        m_top = (family.level - ell) // 2
+        with np.errstate(under="ignore"):
+            prev = np.zeros_like(u)
+            if ell == 0:
+                cur = np.exp(-0.5 * u)
+            else:
+                cur = np.exp(0.5 * (ell * logu - u - gammaln(ell + 1.0)))
+            for m in range(m_top):
+                a = (2 * m + 1 + ell - u) / math.sqrt((m + 1.0) * (m + 1.0 + ell))
+                b = math.sqrt(m * (m + ell) / ((m + 1.0) * (m + 1.0 + ell)))
+                cur, prev = a * cur - b * prev, cur
+        out[j] = cur / math.sqrt(math.pi)
+    return out
+
+
+def _polar_resolution(family, ells, n_radial=None, n_theta=None):
+    """(r_max, n_radial, n_theta) from the top eigenvalue and the largest
+    |l|: 12 radial points per local oscillation and 8 angular points per
+    top harmonic, unless explicit counts are given."""
+    lam = float(np.max(family.eigenvalue(np.arange(len(ells)))))
+    ell_max = int(np.max(np.abs(ells)))
+    r_max = 1.2 * math.sqrt(2.0 * lam) + 2.0
+    if n_radial is None:
+        n_radial = max(400, int(12.0 * r_max * math.sqrt(lam) / math.pi))
+    if n_theta is None:
+        n_theta = max(256, 8 * (ell_max + 1))
+    if n_theta < 2 * ell_max + 2:
+        raise ValueError("n_theta must exceed twice the largest harmonic")
+    return r_max, int(n_radial), int(n_theta)
+
+
+def _polar_field(g, ells, table, n_theta):
+    """u at theta_k = 2 pi k / n_theta (rows) and the table's radii (columns)."""
+    spectrum = np.zeros((n_theta, table.shape[1]), dtype=np.complex128)
+    for j, ell in enumerate(ells.tolist()):
+        spectrum[ell % n_theta] += g[j] * table[j]
+    return np.fft.ifft(spectrum, axis=0) * n_theta
+
+
+def _refine_peak(p, t_idx, r_idx):
+    """Parabolic refinement of a grid maximum of |u|^2, one axis at a time."""
+    n_t, n_r = p.shape
+    peak = max(p[t_idx, r_idx], _parabola_vertex(
+        p[(t_idx - 1) % n_t, r_idx], p[t_idx, r_idx], p[(t_idx + 1) % n_t, r_idx]))
+    if 0 < r_idx < n_r - 1:
+        peak = max(peak, _parabola_vertex(*p[t_idx, r_idx - 1:r_idx + 2]))
+    return peak
+
+
+def _sup_of_sample(g, ells, table, n_theta):
+    """sup |u| over the polar grid, with the peak refined."""
+    field = _polar_field(g, ells, table, n_theta)
+    p = field.real ** 2 + field.imag ** 2
+    t_idx, r_idx = np.unravel_index(int(np.argmax(p)), p.shape)
+    return math.sqrt(_refine_peak(p, t_idx, r_idx))
+
+
+def sup_norms(family, coeffs, n_radial=None, n_theta=None, check=True):
+    """sup |u| of the field of each row of a (rows, n_modes) coefficient matrix.
+
+    The field is built on a polar grid that includes r = 0, by one FFT over
+    theta per row, and the grid maximum of |u|^2 is refined by a parabola
+    along each axis.  An eigenspace row is read as coefficients in the
+    rotation-adapted basis, whose fields differ from the Hermite-product
+    ones but whose Gaussian measures agree.  With check=True the first three
+    rows are recomputed on the doubled grid and must agree to 0.1%, or
+    GridResolutionError is raised.
+    """
+    coeffs = np.asarray(coeffs, dtype=np.complex128)
+    ells = _harmonics(family, coeffs.shape[1])
+    r_max, n_r, n_t = _polar_resolution(family, ells, n_radial, n_theta)
+    table = _angular_radial_table(family, ells, np.linspace(0.0, r_max, n_r))
+    if check:
+        table_fine = _angular_radial_table(family, ells, np.linspace(0.0, r_max, 2 * n_r))
+        for g in coeffs[:3]:
+            coarse = _sup_of_sample(g, ells, table, n_t)
+            fine = _sup_of_sample(g, ells, table_fine, 2 * n_t)
+            if abs(coarse - fine) > 1e-3 * fine:
+                raise GridResolutionError(
+                    f"sup-norm grid too coarse for {family.label} at cutoff "
+                    f"{len(ells) - 1}: {coarse!r} vs {fine!r} at doubled resolution"
+                )
+    return np.array([_sup_of_sample(g, ells, table, n_t) for g in coeffs])

@@ -139,7 +139,6 @@ _SCHEMAS = {
         "beta": 0.0,
         "lambdas": None,
         "min_tail_hits": 20,
-        "grid_points": 256,
         "tensor": None,
         "out": "tails.json",
     }),
@@ -435,7 +434,7 @@ def _cmd_invariance(resolved):
     spec = _measure_spec(resolved, kind_key="measure")
     tensor = _tensor_for(resolved, spec.family, spec.cutoff)
     report = lab.invariance_test(
-        spec, tensor, spec.projector, float(_require(resolved, "t")),
+        spec, tensor, float(_require(resolved, "t")),
         int(_require(resolved, "samples")), config=_integrator(resolved),
         start_index=int(resolved["start_index"]))
 
@@ -533,8 +532,7 @@ def _cmd_tails(resolved):
         spec, str(_require(resolved, "functional")),
         lambdas=_float_list(resolved, "lambdas"),
         n_samples=int(_require(resolved, "samples")), tensor=tensor,
-        min_tail_hits=int(resolved["min_tail_hits"]),
-        grid_points=int(resolved["grid_points"]))
+        min_tail_hits=int(resolved["min_tail_hits"]))
     out = _require(resolved, "out")
     _write_json(out, result)
     summary = (f"tails kind={spec.kind} cutoff={spec.cutoff} "

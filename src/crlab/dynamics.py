@@ -23,11 +23,8 @@ from scipy.special import gammaln
 from . import kernels
 from .basis import (
     BasisFamily,
-    GridResolutionError,
     build_laguerre_rule,
     build_quadrature,
-    default_grid,
-    eval_basis,
     family_from_label,
     hermite_polyparts,
     laguerre_weighted,
@@ -48,8 +45,6 @@ __all__ = [
     "energy",
     "hamiltonian",
     "sobolev_norm",
-    "eval_field",
-    "propagate_linear",
     "spacetime_l4",
     "state_to_dict",
     "state_from_dict",
@@ -426,44 +421,6 @@ def sobolev_norm(state, s):
     c = state.coeffs
     lam = np.asarray(state.family.eigenvalue(np.arange(len(c))), dtype=np.float64)
     return float(np.sqrt(np.sum(lam ** float(s) * (c.real ** 2 + c.imag ** 2))))
-
-
-def propagate_linear(state, tau):
-    """Exact linear propagator: c_n <- e^{-i tau lambda_n} c_n.
-
-    A unitary diagonal transform (used inside the space-time norms), not an
-    evolution of the nonlinear flow; the state's time label is unchanged.
-    """
-    lam = np.asarray(state.family.eigenvalue(np.arange(len(state.coeffs))), dtype=np.float64)
-    return CoefficientState(state.family, state.coeffs * np.exp(-1j * float(tau) * lam), state.time)
-
-
-def eval_field(state, grid=None, check=True):
-    """Sample u(x) = sum c_n phi_n(x) on a 2D grid.
-
-    Returns a complex array F with F[i, j] = u(x1_i, x2_j).  With check=True
-    the grid's trapezoid mass must reproduce the exact mass to 0.1%,
-    otherwise GridResolutionError; that guards both resolution and extent.
-    """
-    if grid is None:
-        grid = default_grid(float(np.max(state.family.eigenvalue(state.cutoff))))
-    ax = grid.axis()
-    x1 = ax[:, None]
-    x2 = ax[None, :]
-    out = np.zeros((len(ax), len(ax)), dtype=np.complex128)
-    for n, cn in enumerate(state.coeffs):
-        if cn != 0.0:
-            out += cn * eval_basis(state.family, n, x1, x2)
-    if check:
-        exact = mass(state)
-        if exact > 0:
-            grid_mass = float(np.sum(out.real ** 2 + out.imag ** 2)) * grid.spacing ** 2
-            err = abs(grid_mass - exact) / exact
-            if err > 1e-3:
-                raise GridResolutionError(
-                    f"grid mass off by {err:.2e}; increase npoints or halfwidth"
-                )
-    return out
 
 
 def _spacetime_l4_hol(coeffs):

@@ -3,12 +3,11 @@
 invariance_test evolves an ensemble drawn from a candidate invariant
 measure and compares observable marginals before and after: per-observable
 z-scores on means plus two-sample Kolmogorov-Smirnov tests with a
-Bonferroni correction.  The sampler, the flow, and the truncation must be
-a matched triple: the tensor of the measure's family and cutoff, and the
-truncation MeasureSpec.projector declares for the measure's kind (sharp
-for white noise and the eigenspace measure, smooth for Gibbs and the free
-Gaussian).  Mismatched configurations are rejected up front, since a PASS
-would then be evidence about the wrong theorem.
+Bonferroni correction.  The flow runs the truncation MeasureSpec.projector
+declares for the measure's kind (sharp for white noise and the eigenspace
+measure, smooth for Gibbs and the free Gaussian) on a tensor of the
+measure's family and cutoff; any other tensor is rejected up front, since
+a PASS would then be evidence about the wrong theorem.
 
 recurrence_experiment watches single eigenspace orbits return near their
 initial data, cauchy_study measures the decay of E||T_N(u) - T_M(u)||^2
@@ -24,7 +23,7 @@ import numpy as np
 from scipy import stats
 
 from . import coupling, measures
-from .basis import HOLOMORPHIC, GridResolutionError, eigenspace
+from .basis import HOLOMORPHIC, eigenspace, sup_norms
 from .dynamics import FlowKernel, IntegratorConfig
 
 __all__ = [
@@ -47,7 +46,7 @@ _SIGMA = 1.5  # the standard observable set's negative Sobolev norm is H^{-_SIGM
 
 
 class ConfigError(ValueError):
-    """A spec/tensor/projector combination that answers no meaningful question."""
+    """A spec/tensor combination that answers no meaningful question."""
 
 
 class ObservableSet:
@@ -140,28 +139,21 @@ class EnsembleReport:
         return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def _check_consistency(spec, tensor, proj):
+def _check_consistency(spec, tensor):
     if tensor.family != spec.family:
         raise ConfigError(
             f"measure family {spec.family.label} does not match tensor family "
             f"{tensor.family.label}"
         )
-    if not (spec.cutoff == tensor.cutoff == proj.cutoff):
-        raise ConfigError(
-            f"cutoffs disagree: measure {spec.cutoff}, tensor {tensor.cutoff}, "
-            f"projector {proj.cutoff}"
-        )
-    if proj != spec.projector:
-        raise ConfigError(
-            f"the {spec.kind} measure is matched to the {spec.projector.kind} "
-            f"truncation, not the {proj.kind} one"
-        )
+    if spec.cutoff != tensor.cutoff:
+        raise ConfigError(f"cutoffs disagree: measure {spec.cutoff}, tensor {tensor.cutoff}")
 
 
-def invariance_test(spec, tensor, proj, t, n_samples, config=None, start_index=0):
-    """Evolve an ensemble from the measure and test that observable marginals
-    are unchanged.  Returns an EnsembleReport whose verdict is PASS when
-    every |z| < 4 and every Bonferroni-adjusted KS p-value exceeds 0.001.
+def invariance_test(spec, tensor, t, n_samples, config=None, start_index=0):
+    """Evolve an ensemble from the measure under its matched truncation
+    spec.projector and test that observable marginals are unchanged.
+    Returns an EnsembleReport whose verdict is PASS when every |z| < 4 and
+    every Bonferroni-adjusted KS p-value exceeds 0.001.
 
     The report also carries a two-part cross-check of the Hamiltonian: the
     worst per-sample relative drift along the flow (an integrator/flow
@@ -171,12 +163,13 @@ def invariance_test(spec, tensor, proj, t, n_samples, config=None, start_index=0
     rescales time, but fails calibration; the check is what separates
     "invariant" from "correct".
     """
-    _check_consistency(spec, tensor, proj)
+    _check_consistency(spec, tensor)
     if not math.isfinite(t):
         raise ConfigError("evolution time must be finite")
     if n_samples < 2:
         raise ConfigError("need at least 2 samples")
     config = config or IntegratorConfig()
+    proj = spec.projector
     kernel = FlowKernel(tensor, proj)
     observables = ObservableSet.standard(kernel)
 
@@ -372,90 +365,15 @@ def cauchy_study(sigma, cutoff, m_values, n_samples, seed=0):
     }
 
 
-def _angular_radial_table(level, r):
-    """R_{N,l}(r) for l = -N..N step 2, rows indexed by (l+N)/2.
-
-    R_{N,l}(r) = pi^{-1/2} psi_m^{(|l|)}(r^2) with m = (N-|l|)/2, where
-    psi_m^{(a)}(u) = sqrt(m!/(m+a)!) u^{a/2} L_m^{(a)}(u) e^{-u/2} is the
-    L^2(du)-orthonormal weighted Laguerre family.  The recurrence is run in
-    this normalized form so every intermediate stays within float range.
-    """
-    from scipy.special import gammaln
-
-    u = np.asarray(r, dtype=np.float64) ** 2
-    n_ell = level + 1
-    out = np.empty((n_ell, len(u)))
-    logu = np.where(u > 0, np.log(np.maximum(u, 1e-300)), -np.inf)
-    for j in range(n_ell):
-        ell = abs(-level + 2 * j)
-        m_top = (level - ell) // 2
-        with np.errstate(under="ignore"):
-            prev = np.zeros_like(u)
-            if ell == 0:
-                cur = np.exp(-0.5 * u)
-            else:
-                cur = np.exp(0.5 * (ell * logu - u - gammaln(ell + 1.0)))
-            for m in range(m_top):
-                a = (2 * m + 1 + ell - u) / math.sqrt((m + 1.0) * (m + 1.0 + ell))
-                b = math.sqrt(m * (m + ell) / ((m + 1.0) * (m + 1.0 + ell)))
-                cur, prev = a * cur - b * prev, cur
-        out[j] = cur / math.sqrt(math.pi)
-    return out
-
-
-def _refine_peak(p, t_idx, r_idx):
-    """Parabolic refinement of a grid maximum of |u|^2, one axis at a time."""
-    peak = p[t_idx, r_idx]
-    n_t, n_r = p.shape
-    trip = (p[(t_idx - 1) % n_t, r_idx], peak, p[(t_idx + 1) % n_t, r_idx])
-    for y0, y1, y2 in (trip,) + (
-        ((p[t_idx, r_idx - 1], peak, p[t_idx, r_idx + 1]),)
-        if 0 < r_idx < n_r - 1
-        else ()
-    ):
-        denom = y0 - 2.0 * y1 + y2
-        if denom < 0:
-            peak = max(peak, y1 - 0.125 * (y0 - y2) ** 2 / denom)
-    return peak
-
-
-def _sup_of_sample(g, table, n_theta):
-    """sup |u| for u(r, theta) = sum_l g_l R_{N,l}(r) e^{i l theta}."""
-    level = len(g) - 1
-    n_r = table.shape[1]
-    spectrum = np.zeros((n_theta, n_r), dtype=np.complex128)
-    for j in range(level + 1):
-        ell = -level + 2 * j
-        spectrum[ell % n_theta] += g[j] * table[j]
-    field = np.fft.ifft(spectrum, axis=0) * n_theta
-    p = field.real ** 2 + field.imag ** 2
-    t_idx, r_idx = np.unravel_index(int(np.argmax(p)), p.shape)
-    return math.sqrt(_refine_peak(p, t_idx, r_idx))
-
-
-def _polar_resolution(level, n_radial, n_theta):
-    """Per-level polar grid: 12 radial points per local oscillation and 8
-    angular points per top harmonic, unless explicit counts are given."""
-    lam = 2.0 * level + 2.0
-    r_max = 1.2 * math.sqrt(2.0 * lam) + 2.0
-    if n_radial is None:
-        n_radial = max(400, int(12.0 * r_max * math.sqrt(lam) / math.pi))
-    if n_theta is None:
-        n_theta = max(256, 8 * (level + 1))
-    if n_theta < 2 * level + 2:
-        raise ConfigError("n_theta must exceed twice the level")
-    return r_max, int(n_radial), int(n_theta)
-
-
 def concentration_study(levels, n_samples, seed=0, n_radial=None, n_theta=None,
                         check_resolution=True):
     """Distribution of the normalized sup/L2 ratio across eigenspace levels.
 
     For each level N, draws n_samples states from the eigenspace measure in
     its rotation-adapted basis (the measure's law does not depend on the
-    orthonormal basis used), computes r = ||u||_inf / ||u||_2 on a polar
-    grid with parabolic peak refinement, and normalizes by the expected
-    profile: r_N = r / (N^{-1/2} (log N)^{1/2}).
+    orthonormal basis used), computes r = ||u||_inf / ||u||_2 with
+    basis.sup_norms (the resolution check runs at the top level only), and
+    normalizes by the expected profile: r_N = r / (N^{-1/2} (log N)^{1/2}).
 
     Returns per-level quantiles of r_N, a band verdict (all medians inside
     the factor-2 band centered at their geometric mean), and per-level
@@ -468,17 +386,14 @@ def concentration_study(levels, n_samples, seed=0, n_radial=None, n_theta=None,
     per_level = {}
     ratio_rows = []
     for N in levels:
-        r_max, n_r, n_t = _polar_resolution(N, n_radial, n_theta)
-        r = np.linspace(0.0, r_max, n_r)
-        table = _angular_radial_table(N, r)
         # the modulus keeps seed + N inside the 64-bit seed range
         spec = measures.MeasureSpec("eigenspace", eigenspace(N), N, seed=(seed + N) % 2 ** 64)
-        if check_resolution and N == max(levels):
-            _resolution_check(spec, r_max, n_r, n_t, table)
+        coeffs = measures.sample_ensemble(spec, n_samples)
+        sups = sup_norms(spec.family, coeffs, n_radial, n_theta,
+                         check=check_resolution and N == max(levels))
         norm_factor = math.sqrt(math.log(N)) / math.sqrt(N)
-        ratios = np.empty(n_samples)
-        for i, g in enumerate(measures.sample_ensemble(spec, n_samples)):
-            ratios[i] = _sup_of_sample(g, table, n_t) / np.linalg.norm(g) / norm_factor
+        # one norm per row: an axis-wise norm rounds differently
+        ratios = sups / np.array([np.linalg.norm(g) for g in coeffs]) / norm_factor
         q05, q50, q95 = np.quantile(ratios, [0.05, 0.50, 0.95])
         per_level[N] = {
             "q05": float(q05),
@@ -507,20 +422,3 @@ def concentration_study(levels, n_samples, seed=0, n_radial=None, n_theta=None,
         ),
         "n_samples": int(n_samples),
     }
-
-
-def _resolution_check(spec, r_max, n_radial, n_theta, table):
-    """Probe the sups of the first three samples of the level's eigenspace
-    spec at doubled resolution; 0.1% agreement or the grid is too coarse
-    for this level."""
-    level = spec.cutoff
-    r_fine = np.linspace(0.0, r_max, 2 * n_radial)
-    table_fine = _angular_radial_table(level, r_fine)
-    for g in measures.sample_ensemble(spec, 3):
-        coarse = _sup_of_sample(g, table, n_theta)
-        fine = _sup_of_sample(g, table_fine, 2 * n_theta)
-        if abs(coarse - fine) > 1e-3 * fine:
-            raise GridResolutionError(
-                f"sup-norm grid too coarse at level {level}: {coarse!r} vs "
-                f"{fine!r} at doubled resolution"
-            )

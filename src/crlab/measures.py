@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .basis import family_from_label
-from .dynamics import CoefficientState, FlowKernel, Projector
+from .basis import family_from_label, sup_norms
+from .dynamics import CoefficientState, FlowKernel, Projector, spacetime_l4
 
 __all__ = [
     "KINDS",
@@ -256,36 +256,23 @@ def estimate_partition(spec, n_samples, tensor):
 FUNCTIONALS = ("spacetime-L4", "sup-over-grid", "L2")
 
 
-def _functional_values(spec, coeffs, functional, grid_points):
-    from . import dynamics
-
-    n = len(coeffs)
-    out = np.empty(n)
+def _functional_values(spec, coeffs, functional):
     if functional == "L2":
         return np.sqrt(np.sum(coeffs.real ** 2 + coeffs.imag ** 2, axis=1))
-    if functional == "spacetime-L4":
-        for i in range(n):
-            out[i] = dynamics.spacetime_l4(CoefficientState(spec.family, coeffs[i]))
-        return out
-    from .basis import default_grid
-
-    lam_max = float(np.max(spec.family.eigenvalue(spec.cutoff)))
-    grid = default_grid(lam_max, npoints=grid_points)
-    for i in range(n):
-        field = dynamics.eval_field(
-            CoefficientState(spec.family, coeffs[i]), grid, check=False
-        )
-        out[i] = float(np.max(np.abs(field)))
-    return out
+    if functional == "sup-over-grid":
+        return sup_norms(spec.family, coeffs)
+    return np.array([spacetime_l4(CoefficientState(spec.family, c)) for c in coeffs])
 
 
 def tail_study(spec, functional, lambdas=None, n_samples=2000, tensor=None,
-               min_tail_hits=20, grid_points=256):
+               min_tail_hits=20):
     """Empirical log-survival curve of a norm functional, with a sub-Gaussian
     fit.
 
     Draws n_samples states, evaluates the functional (one of "spacetime-L4",
-    "sup-over-grid", "L2"), and tabulates log P(value > lambda) on the given
+    "sup-over-grid", "L2"; sup-over-grid is basis.sup_norms, whose
+    doubled-grid check runs on the first three samples), and tabulates
+    log P(value > lambda) on the given
     thresholds (default: 12 levels spanning the median to the quantile with
     min_tail_hits expected hits).  Returns a dict with the curve and a
     hit-count-weighted linear fit of log P against lambda^2; a clearly
@@ -294,7 +281,7 @@ def tail_study(spec, functional, lambdas=None, n_samples=2000, tensor=None,
     if functional not in FUNCTIONALS:
         raise ValueError(f"functional must be one of {FUNCTIONALS}")
     coeffs = sample_ensemble(spec, n_samples, tensor)
-    values = _functional_values(spec, coeffs, functional, grid_points)
+    values = _functional_values(spec, coeffs, functional)
 
     if lambdas is None:
         lo = float(np.quantile(values, 0.5))

@@ -116,9 +116,8 @@ def test_criterion_04_closed_form_anchor(capsys):
            f"single-mode phase err {phase_err:.2e}, two-mode moduli err {moduli_err:.2e}")
 
 
-def run_invariance(spec, tensor, kind, t, n):
-    proj = Projector(kind, tensor.cutoff)
-    rep = invariance_test(spec, tensor, proj, t, n)
+def run_invariance(spec, tensor, t, n):
+    rep = invariance_test(spec, tensor, t, n)
     worst_z = max(abs(row["z"]) for row in rep.observables)
     worst_p = min(row["ks_p_adjusted"] for row in rep.observables)
     return rep, worst_z, worst_p
@@ -126,7 +125,7 @@ def run_invariance(spec, tensor, kind, t, n):
 
 def test_criterion_05_white_noise_invariance(capsys, hol16):
     spec = MeasureSpec("white-noise", HOLOMORPHIC, 16, seed=1)
-    rep, worst_z, worst_p = run_invariance(spec, hol16, "sharp", 1.0, 10_000)
+    rep, worst_z, worst_p = run_invariance(spec, hol16, 1.0, 10_000)
     ok = rep.verdict == "PASS" and rep.hamiltonian_check["pass"]
     report(capsys, 5, "white-noise invariance", ok,
            f"N=16 t=1 n=10^4 max|z| {worst_z:.2f}, min adj p {worst_p:.3g}")
@@ -134,7 +133,7 @@ def test_criterion_05_white_noise_invariance(capsys, hol16):
 
 def test_criterion_06_gibbs_invariance(capsys, hol16):
     spec = MeasureSpec("gibbs", HOLOMORPHIC, 16, beta=1.0, seed=1)
-    rep, worst_z, worst_p = run_invariance(spec, hol16, "smooth", 1.0, 10_000)
+    rep, worst_z, worst_p = run_invariance(spec, hol16, 1.0, 10_000)
     ok = rep.verdict == "PASS" and rep.hamiltonian_check["pass"]
     report(capsys, 6, "gibbs invariance", ok,
            f"N=16 beta=1 t=1 n=10^4 max|z| {worst_z:.2f}, min adj p {worst_p:.3g}")
@@ -143,7 +142,7 @@ def test_criterion_06_gibbs_invariance(capsys, hol16):
 def test_criterion_07_eigenspace_invariance(capsys):
     tensor = build_tensor(eigenspace(4), 4)
     spec = MeasureSpec("eigenspace", eigenspace(4), 4, seed=1)
-    rep, worst_z, worst_p = run_invariance(spec, tensor, "sharp", 1.0, 5_000)
+    rep, worst_z, worst_p = run_invariance(spec, tensor, 1.0, 5_000)
     ok = rep.verdict == "PASS" and rep.hamiltonian_check["pass"]
     report(capsys, 7, "eigenspace invariance", ok,
            f"E_4 t=1 n=5000 max|z| {worst_z:.2f}, min adj p {worst_p:.3g}")
@@ -197,8 +196,8 @@ def test_criterion_12_reversibility_determinism(capsys, hol16):
     rt_err = float(np.linalg.norm(back.coeffs - state.coeffs))
 
     spec = MeasureSpec("white-noise", HOLOMORPHIC, 16, seed=5)
-    a = invariance_test(spec, hol16, proj, 1.0, 300)
-    b = invariance_test(spec, hol16, proj, 1.0, 300)
+    a = invariance_test(spec, hol16, 1.0, 300)
+    b = invariance_test(spec, hol16, 1.0, 300)
     identical = a.to_json() == b.to_json()
 
     ok = rt_err < 1e-8 and identical

@@ -9,7 +9,6 @@ from scipy import special
 from crlab.basis import (
     HOLOMORPHIC,
     RADIAL,
-    Grid2D,
     eigenspace,
     eval_basis,
     family_from_label,
@@ -78,13 +77,6 @@ def test_eval_basis_holomorphic_angular_phase():
     rotated = vals * np.exp(-1j * n * theta)
     assert np.allclose(rotated, rotated[0], atol=1e-12)
     assert abs(vals[0]) > 0
-
-
-def test_grid2d_axis_and_refinement():
-    g = Grid2D(4.0, 64)
-    ax = g.axis()
-    assert len(ax) == 64
-    assert math.isclose(ax[1] - ax[0], g.spacing)
 
 
 def test_lp_norms_ground_state_anchors():

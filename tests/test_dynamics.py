@@ -1,28 +1,29 @@
-"""Flow integration, conserved quantities, projectors, and field evaluation."""
+"""Flow integration, conserved quantities, projectors, and space-time norms."""
 
 import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.special import gammaln
 
 from crlab import dynamics, kernels
-from crlab.basis import HOLOMORPHIC, RADIAL, Grid2D, eigenspace
+from crlab.basis import HOLOMORPHIC, RADIAL, eigenspace
 from crlab.coupling import CouplingTensor, build_tensor
 from crlab.dynamics import (
     CoefficientState,
     FlowKernel,
-    GridResolutionError,
     IntegratorConfig,
     NumericalError,
     Projector,
     cutoff_profile,
     energy,
-    eval_field,
     evolve,
     hamiltonian,
     mass,
-    propagate_linear,
     rhs,
     sobolev_norm,
     spacetime_l4,
@@ -108,6 +109,60 @@ def test_smooth_projector_conserves_folded_hamiltonian():
     assert drift["hamiltonian"] < 1e-8
     # top mode is frozen by chi(1) = 0
     assert result.state.coeffs[-1] == pytest.approx(state.coeffs[-1], abs=1e-13)
+
+
+def manifold_coeffs(a, b, p, cutoff):
+    """c_n = sqrt(pi) (b p^n + a n p^(n-1)) / sqrt(n!): the holomorphic
+    coefficients of u = (b + a z) e^(p z - |z|^2/2)."""
+    n = np.arange(cutoff + 1)
+    d = b * p ** n + a * n * p ** (n - 1.0)
+    return math.sqrt(math.pi) * d * np.exp(-0.5 * gammaln(n + 1.0))
+
+
+def test_lowest_landau_level_manifold_is_invariant():
+    # The cubic lowest-Landau-level equation keeps the 3-dim manifold
+    # u = (b + a z) e^(p z - |z|^2/2) invariant (Gerard-Germain-Thomann).
+    # With d_n = c_n sqrt(n!)/sqrt(pi) = p^(n-1) (b p + a n): b = d_0, p
+    # solves b p^2 - 2 d_1 p + d_2 = 0 and a = d_1 - b p.  At N=32 the
+    # truncated tail is negligible, so every mode must follow the fit.
+    cutoff = 32
+    a, b, p = 0.3 + 0.1j, 0.8, 0.5 + 0.2j
+    state = CoefficientState(HOLOMORPHIC, manifold_coeffs(a, b, p, cutoff))
+    checkpoints = 0.25 * np.arange(1, 41)
+    result = evolve(state, build_tensor(HOLOMORPHIC, cutoff), Projector("sharp", cutoff),
+                    10.0, checkpoints=checkpoints)
+    moved = np.linalg.norm(result.state.coeffs - state.coeffs) / np.linalg.norm(state.coeffs)
+    assert moved > 0.5  # the anchor is not a near-stationary state
+    worst = 0.0
+    scale = np.exp(0.5 * gammaln(np.arange(3) + 1.0)) / math.sqrt(math.pi)
+    for snap in result.snapshots:
+        d = snap.coeffs[:3] * scale
+        b = d[0]
+        # the root nearest the previous p: one fit at t=10 can pick the wrong one
+        p = min(np.roots([b, -2.0 * d[1], d[2]]), key=lambda root: abs(root - p))
+        c_pred = manifold_coeffs(d[1] - b * p, b, p, cutoff)
+        worst = max(worst, np.linalg.norm(snap.coeffs - c_pred) / np.linalg.norm(snap.coeffs))
+    assert worst < 1e-10
+
+
+# derandomized and bounded like the contraction properties in test_kernels
+PROPERTY = settings(derandomize=True, max_examples=30, deadline=None)
+
+
+@pytest.mark.parametrize("family,cutoff,kind", [
+    (HOLOMORPHIC, 7, "sharp"), (RADIAL, 6, "smooth"), (eigenspace(4), 4, "sharp")])
+@PROPERTY
+@given(data=st.data())
+def test_every_accepted_step_conserves_mass_and_energy(family, cutoff, kind, data):
+    kernel = FlowKernel(build_tensor(family, cutoff), Projector(kind, cutoff))
+    coefficient = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+    c = data.draw(arrays(np.complex128, cutoff + 1, elements=coefficient))
+    rows = []
+    kernel.evolve(c, 1.0, observer=lambda t, now, f: rows.append(kernel.conserved(now, f)[:2]))
+    assert len(rows) >= 2
+    first = np.array(rows[0])
+    drift = np.abs(np.array(rows) - first) / np.maximum(first, np.finfo(float).tiny)
+    assert np.max(drift) < 1e-9
 
 
 def test_integrator_config_holds_only_tolerances():
@@ -206,23 +261,6 @@ def test_sobolev_norm_anchors():
     lam0 = HOLOMORPHIC.eigenvalue(0)
     assert sobolev_norm(state, 0.0) == pytest.approx(1.0)
     assert sobolev_norm(state, 2.0) == pytest.approx(lam0)
-
-
-def test_propagate_linear_is_unitary_phase():
-    state = random_state(RADIAL, 5, seed=8)
-    out = propagate_linear(state, 0.37)
-    assert out.time == state.time
-    assert np.allclose(np.abs(out.coeffs), np.abs(state.coeffs))
-    lam = np.array([RADIAL.eigenvalue(n) for n in range(6)])
-    assert np.allclose(out.coeffs, np.exp(-1j * 0.37 * lam) * state.coeffs)
-
-
-def test_eval_field_mass_and_resolution_guard():
-    state = random_state(HOLOMORPHIC, 3, seed=5)
-    field = eval_field(state)
-    assert field.ndim == 2
-    with pytest.raises(GridResolutionError):
-        eval_field(state, grid=Grid2D(1.5, 16))
 
 
 def test_spacetime_l4_ground_state_anchor():

@@ -1,4 +1,5 @@
-"""Import hygiene: no module imports a name it never uses."""
+"""Import hygiene: no module imports a name it never uses, and every name a
+module exports is bound in it."""
 
 import ast
 from pathlib import Path
@@ -6,7 +7,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted((ROOT / "src" / "crlab").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "crlab").glob("*.py"))
+MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source):
@@ -33,6 +35,25 @@ def unused_imports(source):
     return sorted((line, name) for name, line in imported.items() if name not in read | exported)
 
 
+def unbound_exports(source):
+    """Entries of a module-level __all__ that no module-level statement binds."""
+    tree = ast.parse(source)
+    bound = set()
+    exported = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {t.id for t in targets if isinstance(t, ast.Name)}
+            bound |= names
+            if "__all__" in names:
+                exported = [elt.value for elt in node.value.elts]
+    return [name for name in exported if name not in bound]
+
+
 def test_checker_flags_only_unread_imports():
     source = (
         "import json\nimport numpy as np\nfrom os import path, sep\n"
@@ -44,3 +65,16 @@ def test_checker_flags_only_unread_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_checker_flags_only_unbound_exports():
+    source = (
+        "from .x import kept\nVALUE = 1\ndef f(): pass\nclass C: pass\n"
+        "__all__ = ['kept', 'VALUE', 'f', 'C', 'gone']\n"
+    )
+    assert unbound_exports(source) == ["gone"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_module_exports_only_bound_names(path):
+    assert unbound_exports(path.read_text(encoding="utf-8")) == []

@@ -36,7 +36,7 @@ def test_observable_set_names_and_shape():
 def test_zero_time_is_exactly_invariant():
     tensor = build_tensor(HOLOMORPHIC, 6)
     spec = MeasureSpec("white-noise", HOLOMORPHIC, 6, seed=1)
-    report = invariance_test(spec, tensor, Projector("sharp", 6), 0.0, 60)
+    report = invariance_test(spec, tensor, 0.0, 60)
     assert report.verdict == "PASS"
     for row in report.observables:
         assert row["z"] == 0.0
@@ -48,7 +48,7 @@ def test_eigenspace_invariance_small_run():
     level = 3
     tensor = build_tensor(eigenspace(level), level)
     spec = MeasureSpec("eigenspace", eigenspace(level), level, seed=7)
-    report = invariance_test(spec, tensor, Projector("sharp", level), 0.8, 400)
+    report = invariance_test(spec, tensor, 0.8, 400)
     assert report.verdict == "PASS"
     assert report.hamiltonian_check["pass"]
     assert report.n_samples == 400
@@ -57,7 +57,7 @@ def test_eigenspace_invariance_small_run():
 def test_gibbs_invariance_small_run():
     tensor = build_tensor(HOLOMORPHIC, 6)
     spec = MeasureSpec("gibbs", HOLOMORPHIC, 6, beta=1.0, seed=3)
-    report = invariance_test(spec, tensor, Projector("smooth", 6), 1.0, 400)
+    report = invariance_test(spec, tensor, 1.0, 400)
     assert report.verdict == "PASS"
     assert report.hamiltonian_check["pass"]
 
@@ -67,7 +67,7 @@ def test_zeroed_tensor_passes_harness_but_fails_calibration():
     # what catches a silently broken tensor
     tensor = build_tensor(HOLOMORPHIC, 6).rescaled(0.0)
     spec = MeasureSpec("white-noise", HOLOMORPHIC, 6, seed=2)
-    report = invariance_test(spec, tensor, Projector("sharp", 6), 1.0, 200)
+    report = invariance_test(spec, tensor, 1.0, 200)
     assert report.verdict == "PASS"
     assert not report.hamiltonian_check["pass"]
     assert report.hamiltonian_check["calibration_error"] == pytest.approx(1.0)
@@ -76,7 +76,7 @@ def test_zeroed_tensor_passes_harness_but_fails_calibration():
 def test_rescaled_tensor_is_time_change_not_invariance_break():
     tensor = build_tensor(HOLOMORPHIC, 6).rescaled(1.1)
     spec = MeasureSpec("white-noise", HOLOMORPHIC, 6, seed=2)
-    report = invariance_test(spec, tensor, Projector("sharp", 6), 1.0, 200)
+    report = invariance_test(spec, tensor, 1.0, 200)
     assert report.verdict == "PASS"
     assert report.hamiltonian_check["max_relative_drift"] < 1e-6
     assert report.hamiltonian_check["calibration_error"] == pytest.approx(0.1, rel=1e-6)
@@ -85,28 +85,19 @@ def test_rescaled_tensor_is_time_change_not_invariance_break():
 
 def test_consistency_errors():
     tensor = build_tensor(HOLOMORPHIC, 6)
-    wn = MeasureSpec("white-noise", HOLOMORPHIC, 6, seed=0)
+    wn = MeasureSpec("white-noise", HOLOMORPHIC, 5, seed=0)
     with pytest.raises(ConfigError):
-        invariance_test(wn, tensor, Projector("smooth", 6), 1.0, 10)
-    gibbs = MeasureSpec("gibbs", HOLOMORPHIC, 6, beta=1.0, seed=0)
-    with pytest.raises(ConfigError):
-        invariance_test(gibbs, tensor, Projector("sharp", 6), 1.0, 10)
-    with pytest.raises(ConfigError):
-        invariance_test(wn, tensor, Projector("sharp", 5), 1.0, 10)
+        invariance_test(wn, tensor, 1.0, 10)  # cutoff 6 tensor
     eig = MeasureSpec("eigenspace", eigenspace(6), 6, seed=0)
     with pytest.raises(ConfigError):
-        invariance_test(eig, tensor, Projector("sharp", 6), 1.0, 10)  # hol tensor
-    etensor = build_tensor(eigenspace(3), 3)
-    espec = MeasureSpec("eigenspace", eigenspace(3), 3, seed=0)
-    with pytest.raises(ConfigError):
-        invariance_test(espec, etensor, Projector("smooth", 3), 1.0, 10)
+        invariance_test(eig, tensor, 1.0, 10)  # hol tensor
 
 
 def test_report_json_is_deterministic():
     tensor = build_tensor(HOLOMORPHIC, 4)
     spec = MeasureSpec("white-noise", HOLOMORPHIC, 4, seed=5)
-    a = invariance_test(spec, tensor, Projector("sharp", 4), 0.5, 50)
-    b = invariance_test(spec, tensor, Projector("sharp", 4), 0.5, 50)
+    a = invariance_test(spec, tensor, 0.5, 50)
+    b = invariance_test(spec, tensor, 0.5, 50)
     assert a.to_json() == b.to_json()
     slim = json.loads(a.to_json(include_tables=False))
     assert "table_initial" not in slim
@@ -118,8 +109,8 @@ def test_report_json_is_deterministic():
 def test_start_index_shifts_sample_rows():
     tensor = build_tensor(HOLOMORPHIC, 4)
     spec = MeasureSpec("white-noise", HOLOMORPHIC, 4, seed=5)
-    base = invariance_test(spec, tensor, Projector("sharp", 4), 0.5, 8)
-    tail = invariance_test(spec, tensor, Projector("sharp", 4), 0.5, 3, start_index=5)
+    base = invariance_test(spec, tensor, 0.5, 8)
+    tail = invariance_test(spec, tensor, 0.5, 3, start_index=5)
     assert np.allclose(tail.table_initial, base.table_initial[5:8])
     assert np.allclose(tail.table_final, base.table_final[5:8])
 
@@ -128,10 +119,9 @@ def test_invariance_shards_are_bitwise_identical():
     # a run split into start-index shards reproduces every table row exactly
     tensor = build_tensor(HOLOMORPHIC, 5)
     spec = MeasureSpec("white-noise", HOLOMORPHIC, 5, seed=9)
-    proj = Projector("sharp", 5)
-    whole = invariance_test(spec, tensor, proj, 0.5, 40)
-    head = invariance_test(spec, tensor, proj, 0.5, 17, start_index=0)
-    tail = invariance_test(spec, tensor, proj, 0.5, 23, start_index=17)
+    whole = invariance_test(spec, tensor, 0.5, 40)
+    head = invariance_test(spec, tensor, 0.5, 17, start_index=0)
+    tail = invariance_test(spec, tensor, 0.5, 23, start_index=17)
     for name in ("table_initial", "table_final"):
         parts = np.vstack([getattr(head, name), getattr(tail, name)])
         assert np.array_equal(getattr(whole, name), parts)

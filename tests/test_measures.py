@@ -6,7 +6,17 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from crlab.basis import HOLOMORPHIC, RADIAL, eigenspace
+from crlab.basis import (
+    HOLOMORPHIC,
+    RADIAL,
+    _angular_radial_table,
+    _harmonics,
+    _polar_field,
+    _polar_resolution,
+    eigenspace,
+    eval_basis,
+    sup_norms,
+)
 from crlab.coupling import build_tensor
 from crlab.measures import (
     GibbsStallError,
@@ -170,6 +180,28 @@ def test_tail_study_spacetime_functional():
     assert out["slope"] < 0.0
     assert out["r2"] > 0.9
     assert np.all(np.asarray(out["hits"]) >= 20)
+
+
+@pytest.mark.parametrize("family", [HOLOMORPHIC, RADIAL])
+def test_tail_sup_over_grid_is_the_refined_polar_sup(family):
+    # radial fields often peak at the origin, which the polar grid holds
+    spec = MeasureSpec("gaussian-free", family, 32, seed=3)
+    values = tail_study(spec, "sup-over-grid", n_samples=8, min_tail_hits=1)["values"]
+    coeffs = sample_ensemble(spec, 8)
+    u0 = np.abs([sum(c * eval_basis(family, n, 0.0, 0.0) for n, c in enumerate(row))
+                 for row in coeffs])
+    assert np.all(values >= u0 * (1.0 - 1e-12))
+    ells = _harmonics(family, 33)
+    r_max, n_r, n_t = _polar_resolution(family, ells)
+    fine = sup_norms(family, coeffs, n_radial=4 * n_r, n_theta=4 * n_t, check=False)
+    assert np.all(np.abs(values - fine) <= 1e-3 * fine)
+    # the engine's field against the basis functions at every 4th grid point
+    r = np.linspace(0.0, r_max, n_r)
+    field = _polar_field(coeffs[0], ells, _angular_radial_table(family, ells, r), n_t)
+    rr, th = np.meshgrid(r[::4], 2.0 * math.pi * np.arange(0, n_t, 4) / n_t)
+    x1, x2 = rr * np.cos(th), rr * np.sin(th)
+    exact = sum(c * eval_basis(family, n, x1, x2) for n, c in enumerate(coeffs[0]))
+    assert np.max(np.abs(field[::4, ::4] - exact)) <= 1e-12 * np.max(np.abs(exact))
 
 
 def test_tail_study_rejects_unknown_functional():
