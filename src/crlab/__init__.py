@@ -36,11 +36,6 @@ from .dynamics import (
     FlowKernel,
     NumericalError,
     evolve,
-    rhs,
-    mass,
-    energy,
-    hamiltonian,
-    sobolev_norm,
     spacetime_l4,
     state_from_dict,
     state_to_dict,
@@ -48,7 +43,6 @@ from .dynamics import (
 from .measures import (
     MeasureSpec,
     GibbsStallError,
-    sample,
     sample_ensemble,
     sample_gibbs_metropolis,
     estimate_partition,
@@ -89,17 +83,11 @@ __all__ = [
     "GridResolutionError",
     "NumericalError",
     "evolve",
-    "rhs",
-    "mass",
-    "energy",
-    "hamiltonian",
-    "sobolev_norm",
     "spacetime_l4",
     "state_from_dict",
     "state_to_dict",
     "MeasureSpec",
     "GibbsStallError",
-    "sample",
     "sample_ensemble",
     "sample_gibbs_metropolis",
     "estimate_partition",

@@ -13,8 +13,9 @@ integer n:
   L^2(R)-normalized 1D Hermite functions.
 
 Evaluation never forms factorials or raw Hermite polynomials: the 1D chain
-uses the normalized three-term recurrence, the holomorphic chain a polar log
-form, and the radial chain the bounded weighted-Laguerre recurrence.  The
+uses the normalized three-term recurrence, and every radial profile (the
+holomorphic and radial chains, and an eigenspace read in polar form) comes
+from one normalized Laguerre recurrence, laguerre_weighted.  The
 Gaussian envelope is kept separate wherever quadrature needs the polynomial
 part alone.  sup_norms, the sup norm of whole fields, reads every family as
 an angular Fourier series on one polar grid.
@@ -40,7 +41,6 @@ __all__ = [
     "eval_hermite_1d",
     "hermite_polyparts",
     "laguerre_weighted",
-    "laguerre_weighted_single",
     "eval_basis",
     "lp_norm",
     "norm_decay_study",
@@ -50,6 +50,10 @@ __all__ = [
 # Log of the smallest normal float64: envelopes below it are combined with
 # their polynomial part in log space.
 _LOG_TINY = math.log(np.finfo(float).tiny)
+_LN2 = math.log(2.0)
+# exponent-carrying Laguerre mantissas are scaled down past 2^600, far enough
+# below overflow for one more recurrence step at any argument in use
+_RESCALE_BITS = 600
 
 
 class GridResolutionError(ValueError):
@@ -196,7 +200,7 @@ def build_laguerre_rule(n_nodes, scale=1.0):
         v = np.array([1.0])
     else:
         v = eigh_tridiagonal(diag, off, eigvals_only=True)
-    psi = laguerre_weighted_single(n_nodes + 1, v)
+    psi = laguerre_weighted(n_nodes + 1, 0, v)[0]
     wfold = v / ((n_nodes + 1) * psi) ** 2
     return QuadratureRule(nodes=v / scale, weights=wfold / scale, scale=float(scale))
 
@@ -262,56 +266,67 @@ def hermite_polyparts(n_max, x):
     return out
 
 
-def laguerre_weighted(n_max, u):
-    """Weighted Laguerre values psi_k(u) = L_k(u) e^(-u/2) for k = 0..n_max.
-
-    The classical bound |L_k(u) e^(-u/2)| <= 1 keeps the results bounded, but
-    the recurrence seeds at e^(-u/2), so this matrix form is restricted to
-    u <= 1200; use laguerre_weighted_single beyond that.
-    """
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    if np.any(u < 0):
-        raise ValueError("Laguerre argument must be >= 0")
-    if np.any(u > 1200.0):
-        raise ValueError("argument too large for the seeded recurrence; "
-                         "use laguerre_weighted_single")
-    out = np.empty((n_max + 1, u.size))
-    with np.errstate(under="ignore"):
-        out[0] = np.exp(-0.5 * u)
-        if n_max >= 1:
-            out[1] = (1.0 - u) * out[0]
-        for k in range(1, n_max):
-            out[k + 1] = ((2 * k + 1 - u) * out[k] - k * out[k - 1]) / (k + 1.0)
-    return out
-
-
-def laguerre_weighted_single(n, u):
-    """psi_n(u) = L_n(u) e^(-u/2) for one order n, valid for any u >= 0.
-
-    Runs the recurrence on envelope-free Laguerre values with exponent
-    tracking, so large arguments neither underflow at the seed nor overflow
-    mid-recurrence; truly negligible values round to 0.
-    """
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    if np.any(u < 0):
-        raise ValueError("Laguerre argument must be >= 0")
-    v0 = np.ones_like(u)
-    logscale = -0.5 * u
-    if n == 0:
-        vn = v0
-    else:
-        v1 = 1.0 - u
-        for k in range(1, n):
-            v0, v1 = v1, ((2 * k + 1 - u) * v1 - k * v0) / (k + 1.0)
-            big = np.abs(v1) > 1e250
+def _laguerre_chain(alpha, u, psi, max_order, exponent=None):
+    """Yield psi_k^{(alpha)}(u) for k = 0..max_order from psi = psi_0^{(alpha)}(u),
+    by the normalized recurrence, whose every value is bounded.  Given an
+    integer exponent per point, the chain runs on mantissas of psi * 2^exponent
+    and moves powers of two into the exponent before they can overflow."""
+    prev = np.zeros_like(u)
+    yield psi
+    for k in range(max_order):
+        a = (2 * k + 1 + alpha - u) / math.sqrt((k + 1.0) * (k + 1.0 + alpha))
+        b = math.sqrt(k * (k + alpha) / ((k + 1.0) * (k + 1.0 + alpha)))
+        psi, prev = a * psi - b * prev, psi
+        if exponent is not None:
+            big = np.abs(psi) > 2.0 ** _RESCALE_BITS
             if np.any(big):
-                v0[big] *= 1e-250
-                v1[big] *= 1e-250
-                logscale[big] += 250.0 * math.log(10.0)
-        vn = v1
-    with np.errstate(under="ignore"):
-        mag = np.log(np.abs(vn) + 1e-300) + logscale
-        out = np.where(mag > _LOG_TINY, np.sign(vn) * np.exp(np.maximum(mag, _LOG_TINY)), 0.0)
+                psi[big] = np.ldexp(psi[big], -_RESCALE_BITS)
+                prev[big] = np.ldexp(prev[big], -_RESCALE_BITS)
+                exponent[big] += _RESCALE_BITS
+        yield psi
+
+
+def laguerre_weighted(m, alpha, u):
+    """Orthonormal Laguerre functions psi_{m_j}^{(alpha_j)}(u), one row per j.
+
+    psi_m^{(a)}(u) = sqrt(m!/(m+a)!) u^{a/2} L_m^{(a)}(u) e^{-u/2} is
+    orthonormal in L^2(du) for each a; with a = 0 it is L_m(u) e^{-u/2}.
+    Orders m and alpha are broadcast against each other; the result has shape
+    (rows, len(u)) and is valid for every u >= 0.
+
+    All rows of one alpha come from one run of the normalized recurrence,
+    seeded at psi_0^{(a)} in log form.  Only points whose seed is not a
+    normal float carry a separate power-of-two exponent through the
+    recurrence, so large arguments neither underflow at the seed nor overflow
+    on the way; values below float64 range come out subnormal or 0.
+    """
+    m, alpha = np.broadcast_arrays(np.atleast_1d(np.asarray(m, dtype=np.int64)),
+                                   np.atleast_1d(np.asarray(alpha, dtype=np.int64)))
+    u = np.atleast_1d(np.asarray(u, dtype=np.float64))
+    if np.any(u < 0):
+        raise ValueError("Laguerre argument must be >= 0")
+    if np.any(m < 0) or np.any(alpha < 0):
+        raise ValueError("Laguerre orders must be >= 0")
+    out = np.empty((m.size, u.size))
+    with np.errstate(divide="ignore"):
+        logu = np.log(u)
+    for a in np.unique(alpha).tolist():
+        rows = np.flatnonzero(alpha == a)
+        orders = m[rows]
+        log_seed = -0.5 * u if a == 0 else 0.5 * (a * logu - u - gammaln(a + 1.0))
+        with np.errstate(under="ignore"):
+            seed = np.exp(log_seed)
+        far = (log_seed < _LOG_TINY) & (log_seed > -np.inf)
+        shift = np.floor(log_seed[far] / _LN2).astype(np.int64)
+        mantissa = np.exp(log_seed[far] - shift * _LN2)
+        for idx, psi0, exponent in ((np.flatnonzero(~far), seed[~far], None),
+                                    (np.flatnonzero(far), mantissa, shift)):
+            if idx.size == 0:
+                continue
+            for k, psi in enumerate(_laguerre_chain(a, u[idx], psi0, int(orders.max()), exponent)):
+                at_k = rows[orders == k]
+                if at_k.size:
+                    out[np.ix_(at_k, idx)] = psi if exponent is None else np.ldexp(psi, exponent)
     return out
 
 
@@ -331,21 +346,12 @@ def eval_basis(family, n, x1, x2):
     x1, x2 = np.broadcast_arrays(x1, x2)
     scalar = x1.ndim == 0
     x1, x2 = np.atleast_1d(x1), np.atleast_1d(x2)
-    if family.kind == "holomorphic":
-        r2 = x1 * x1 + x2 * x2
-        theta = np.arctan2(x2, x1)
-        if n == 0:
-            logmag = -0.5 * r2 - 0.5 * math.log(math.pi)
-        else:
-            logr = np.where(r2 > 0, np.log(np.maximum(r2, 1e-300)), -np.inf)
-            logmag = 0.5 * n * logr - 0.5 * r2 - 0.5 * gammaln(n + 1) - 0.5 * math.log(math.pi)
-        with np.errstate(under="ignore"):
-            mag = np.where(logmag > _LOG_TINY, np.exp(np.maximum(logmag, _LOG_TINY)), 0.0)
-        out = mag * np.exp(1j * n * theta)
-    elif family.kind == "radial":
+    if family.kind in ("holomorphic", "radial"):
+        # phi_n = psi_m^{(l)}(r^2) e^{i l theta} / sqrt(pi) with (l, m) = (n, 0) or (0, n)
+        ell, m = (n, 0) if family.kind == "holomorphic" else (0, n)
         r2 = (x1 * x1 + x2 * x2).ravel()
-        psi = laguerre_weighted_single(n, r2).reshape(x1.shape)
-        out = (psi / math.sqrt(math.pi)).astype(complex)
+        psi = laguerre_weighted(m, ell, r2)[0].reshape(x1.shape) / math.sqrt(math.pi)
+        out = psi * np.exp(1j * ell * np.arctan2(x2, x1))
     else:
         if n > family.level:
             raise ValueError(f"eigenspace({family.level}) has modes 0..{family.level}")
@@ -419,7 +425,7 @@ def _radial_lp_even(n, p, extra_nodes=0):
     s = p / 2.0
     n_nodes = (p * n) // 2 + 1 + extra_nodes
     rule = build_laguerre_rule(n_nodes, scale=s)
-    psi = laguerre_weighted_single(n, rule.nodes)
+    psi = laguerre_weighted(n, 0, rule.nodes)[0]
     integral = float(np.sum(rule.weights * psi ** p))
     return (math.pi ** (1.0 - p / 2.0) * integral) ** (1.0 / p)
 
@@ -471,7 +477,7 @@ def lp_norm(family, n, p, npoints=2048):
         if family.kind == "radial":
             umax = 4.0 * n * 1.15 + 30.0
             u = np.linspace(0.0, umax, npts | 1)
-            psi = laguerre_weighted_single(n, u)
+            psi = laguerre_weighted(n, 0, u)[0]
             integral = math.pi ** (1.0 - p / 2.0) * _simpson(np.abs(psi) ** p, u[1] - u[0])
             return integral ** (1.0 / p)
         k, m = n, family.level - n
@@ -540,67 +546,38 @@ def norm_decay_study(family, p, n_values, log_correction=False, npoints=2048):
 # its rotation-adapted basis, l = -N, -N+2, ..., N.
 
 def _harmonics(family, n_modes):
-    """The angular harmonic l_j of each coefficient row j."""
+    """The angular harmonic l_j and the Laguerre order m_j of each
+    coefficient row j, whose radial profile is psi_{m_j}^{(|l_j|)}(r^2)."""
     j = np.arange(n_modes)
     if family.kind == "holomorphic":
-        return j
+        return j, np.zeros_like(j)
     if family.kind == "radial":
-        return np.zeros_like(j)
-    return -family.level + 2 * j
+        return np.zeros_like(j), j
+    ells = -family.level + 2 * j
+    return ells, (family.level - np.abs(ells)) // 2
 
 
-def _angular_radial_table(family, ells, r):
-    """Radial profiles R_j(r), one row per coefficient, on the radii r.
-
-    Holomorphic: r^n e^{-r^2/2} / sqrt(pi n!) in log form.  Radial:
-    psi_n(r^2) / sqrt(pi).  Eigenspace: R_{N,l}(r) = pi^{-1/2}
-    psi_m^{(|l|)}(r^2) with m = (N-|l|)/2, where psi_m^{(a)}(u) =
-    sqrt(m!/(m+a)!) u^{a/2} L_m^{(a)}(u) e^{-u/2} is the L^2(du)-orthonormal
-    weighted Laguerre family, run in this normalized form so every
-    intermediate stays within float range.
-    """
+def _angular_radial_table(ells, orders, r):
+    """Radial profiles R_j(r) = psi_{m_j}^{(|l_j|)}(r^2) / sqrt(pi), one row
+    per coefficient, on the radii r."""
     u = np.asarray(r, dtype=np.float64) ** 2
-    out = np.empty((len(ells), len(u)))
-    if family.kind == "holomorphic":
-        n = np.asarray(ells, dtype=np.float64)[:, None]
-        with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
-            out[:] = np.exp(0.5 * (n * np.log(u) - u - gammaln(n + 1.0) - math.log(math.pi)))
-        out[0, u == 0] = 1.0 / math.sqrt(math.pi)  # 0 * log 0 is nan above
-        return out
-    if family.kind == "radial":
-        for n in range(len(ells)):
-            out[n] = laguerre_weighted_single(n, u) / math.sqrt(math.pi)
-        return out
-    logu = np.where(u > 0, np.log(np.maximum(u, 1e-300)), -np.inf)
-    for j, ell in enumerate(np.abs(ells).tolist()):
-        m_top = (family.level - ell) // 2
-        with np.errstate(under="ignore"):
-            prev = np.zeros_like(u)
-            if ell == 0:
-                cur = np.exp(-0.5 * u)
-            else:
-                cur = np.exp(0.5 * (ell * logu - u - gammaln(ell + 1.0)))
-            for m in range(m_top):
-                a = (2 * m + 1 + ell - u) / math.sqrt((m + 1.0) * (m + 1.0 + ell))
-                b = math.sqrt(m * (m + ell) / ((m + 1.0) * (m + 1.0 + ell)))
-                cur, prev = a * cur - b * prev, cur
-        out[j] = cur / math.sqrt(math.pi)
-    return out
+    return laguerre_weighted(orders, np.abs(ells), u) / math.sqrt(math.pi)
 
 
 def _polar_resolution(family, ells, n_radial=None, n_theta=None):
     """(r_max, n_radial, n_theta) from the top eigenvalue and the largest
     |l|: 12 radial points per local oscillation and 8 angular points per
-    top harmonic, unless explicit counts are given."""
+    top harmonic (one angular row for a rotation-invariant field), unless
+    explicit counts are given."""
     lam = float(np.max(family.eigenvalue(np.arange(len(ells)))))
     ell_max = int(np.max(np.abs(ells)))
     r_max = 1.2 * math.sqrt(2.0 * lam) + 2.0
     if n_radial is None:
         n_radial = max(400, int(12.0 * r_max * math.sqrt(lam) / math.pi))
     if n_theta is None:
-        n_theta = max(256, 8 * (ell_max + 1))
-    if n_theta < 2 * ell_max + 2:
-        raise ValueError("n_theta must exceed twice the largest harmonic")
+        n_theta = max(256, 8 * (ell_max + 1)) if ell_max else 1
+    if n_theta < 2 * ell_max + 1:
+        raise ValueError("n_theta must be at least twice the largest harmonic plus one")
     return r_max, int(n_radial), int(n_theta)
 
 
@@ -642,11 +619,11 @@ def sup_norms(family, coeffs, n_radial=None, n_theta=None, check=True):
     GridResolutionError is raised.
     """
     coeffs = np.asarray(coeffs, dtype=np.complex128)
-    ells = _harmonics(family, coeffs.shape[1])
+    ells, orders = _harmonics(family, coeffs.shape[1])
     r_max, n_r, n_t = _polar_resolution(family, ells, n_radial, n_theta)
-    table = _angular_radial_table(family, ells, np.linspace(0.0, r_max, n_r))
+    table = _angular_radial_table(ells, orders, np.linspace(0.0, r_max, n_r))
     if check:
-        table_fine = _angular_radial_table(family, ells, np.linspace(0.0, r_max, 2 * n_r))
+        table_fine = _angular_radial_table(ells, orders, np.linspace(0.0, r_max, 2 * n_r))
         for g in coeffs[:3]:
             coarse = _sup_of_sample(g, ells, table, n_t)
             fine = _sup_of_sample(g, ells, table_fine, 2 * n_t)

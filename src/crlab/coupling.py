@@ -39,7 +39,6 @@ from .basis import (
     eigenspace,
     hermite_polyparts,
     laguerre_weighted,
-    laguerre_weighted_single,
 )
 
 __all__ = [
@@ -134,17 +133,8 @@ def _space_integral(family, quad, rule):
         rule.require_degree(n1 + n2 + n3 + n4)
         if rule.nodes.min() < 0:
             raise ValueError("radial oracle needs a half-line Gauss-Laguerre rule")
-        u = rule.nodes
-        if u.max() <= 1100.0:
-            psi = laguerre_weighted(max(quad), u)
-            vals = psi[n1] * psi[n2] * psi[n3] * psi[n4]
-        else:
-            vals = (
-                laguerre_weighted_single(n1, u)
-                * laguerre_weighted_single(n2, u)
-                * laguerre_weighted_single(n3, u)
-                * laguerre_weighted_single(n4, u)
-            )
+        psi = laguerre_weighted(quad, 0, rule.nodes)
+        vals = psi[0] * psi[1] * psi[2] * psi[3]
         # angular and radial substitution: int f(|x|^2) dx = pi int_0^inf f(u) du
         return float(np.dot(rule.weights, vals)) / math.pi
     level = family.level
@@ -407,7 +397,7 @@ def build_tensor(family, N):
             weights = alpha_hol(n1, n2, n3, n4)
         else:
             rule = build_laguerre_rule(2 * N + 9, scale=2.0)
-            psi = laguerre_weighted(N, rule.nodes)
+            psi = laguerre_weighted(np.arange(N + 1), 0, rule.nodes)
             grams = []
             for _, a, b in blocks:
                 prod = psi[a] * psi[b]

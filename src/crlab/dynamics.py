@@ -39,12 +39,7 @@ __all__ = [
     "NumericalError",
     "EvolveResult",
     "ConservationLog",
-    "rhs",
     "evolve",
-    "mass",
-    "energy",
-    "hamiltonian",
-    "sobolev_norm",
     "spacetime_l4",
     "state_to_dict",
     "state_from_dict",
@@ -146,7 +141,7 @@ def _real_quartic(values):
     return values.real
 
 
-def _require_match(state, tensor, proj=None):
+def _require_match(state, tensor, proj):
     if state.family != tensor.family:
         raise ValueError(
             f"state family {state.family.label} does not match tensor {tensor.family.label}"
@@ -155,7 +150,7 @@ def _require_match(state, tensor, proj=None):
         raise ValueError(
             f"state has {state.cutoff + 1} modes, tensor cutoff is {tensor.cutoff}"
         )
-    if proj is not None and proj.cutoff != tensor.cutoff:
+    if proj.cutoff != tensor.cutoff:
         raise ValueError("projector cutoff does not match the tensor")
 
 
@@ -344,12 +339,6 @@ class EvolveResult:
     snapshots: list = field(default_factory=list)
 
 
-def rhs(state, tensor, proj):
-    """-i times the projected trilinear sum at the state's coefficients."""
-    _require_match(state, tensor, proj)
-    return FlowKernel(tensor, proj).rhs(state.coeffs)
-
-
 def evolve(state, tensor, proj, t, config=None, checkpoints=None):
     """Integrate the truncated flow over a time span t (either sign).
 
@@ -396,33 +385,6 @@ def evolve(state, tensor, proj, t, config=None, checkpoints=None):
     return EvolveResult(final, log, snapshots)
 
 
-def mass(state):
-    """sum |c_n|^2."""
-    c = state.coeffs
-    return float(np.sum(c.real ** 2 + c.imag ** 2))
-
-
-def energy(state):
-    """sum lambda_n |c_n|^2."""
-    c = state.coeffs
-    lam = state.family.eigenvalue(np.arange(len(c)))
-    return float(np.sum(lam * (c.real ** 2 + c.imag ** 2)))
-
-
-def hamiltonian(state, tensor):
-    """Quartic form sum w c_{n1} c_{n2} conj(c_{n3}) conj(c_{n4}) over all
-    ordered quadruples; real by pair-exchange symmetry (asserted)."""
-    _require_match(state, tensor)
-    return FlowKernel(tensor, Projector("sharp", tensor.cutoff)).hamiltonian(state.coeffs)
-
-
-def sobolev_norm(state, s):
-    """sqrt(sum lambda_n^s |c_n|^2)."""
-    c = state.coeffs
-    lam = np.asarray(state.family.eigenvalue(np.arange(len(c))), dtype=np.float64)
-    return float(np.sqrt(np.sum(lam ** float(s) * (c.real ** 2 + c.imag ** 2))))
-
-
 def _spacetime_l4_hol(coeffs):
     n = np.arange(len(coeffs), dtype=np.float64)
     if len(coeffs) > 150:
@@ -439,7 +401,7 @@ def _spacetime_l4_radial(coeffs):
     N = len(coeffs) - 1
     # |sum a_n psi_n(u)|^4 e^{-2u} against the fold: degree 4N needs 2N+1 nodes
     rule = build_laguerre_rule(2 * N + 5, scale=2.0)
-    psi = laguerre_weighted(N, rule.nodes)
+    psi = laguerre_weighted(np.arange(N + 1), 0, rule.nodes)
     M = 4 * N + 1
     tau = -math.pi / 4.0 + (np.arange(M) + 0.5) * (math.pi / 2.0) / M
     # lambda_n = 4n + 2; the common e^{-2 i tau} phase drops inside |.|

@@ -380,6 +380,8 @@ def concentration_study(levels, n_samples, seed=0, n_radial=None, n_theta=None,
     out-of-band sample fractions, which should not increase with N.
     """
     levels = [int(N) for N in levels]
+    if len(levels) < 2:
+        raise ConfigError("levels: the band verdict compares at least 2 levels")
     if any(N < 2 for N in levels):
         raise ConfigError("normalization needs levels >= 2 (log N > 0)")
 

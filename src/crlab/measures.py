@@ -33,7 +33,6 @@ __all__ = [
     "MeasureSpec",
     "spec_from_dict",
     "GibbsStallError",
-    "sample",
     "sample_ensemble",
     "sample_gibbs_metropolis",
     "estimate_partition",
@@ -178,17 +177,6 @@ def _draw_gibbs(spec, index, kernel, scale):
             )
 
 
-def sample(spec, index=0, tensor=None):
-    """One draw from the measure as a CoefficientState.
-
-    index selects the sample's private random stream; (spec, index) fully
-    determine the result.  tensor is required for gibbs, whose weight is the
-    quartic form projected by spec.projector, and ignored otherwise.
-    """
-    c = sample_ensemble(spec, 1, tensor, start_index=index)[0]
-    return CoefficientState(spec.family, c)
-
-
 def sample_ensemble(spec, count, tensor=None, start_index=0):
     """count draws as a complex matrix, row i from stream start_index + i."""
     if count <= 0:
@@ -280,6 +268,8 @@ def tail_study(spec, functional, lambdas=None, n_samples=2000, tensor=None,
     """
     if functional not in FUNCTIONALS:
         raise ValueError(f"functional must be one of {FUNCTIONALS}")
+    if lambdas is not None and len(lambdas) == 0:
+        raise ValueError("lambdas: need at least one threshold")
     coeffs = sample_ensemble(spec, n_samples, tensor)
     values = _functional_values(spec, coeffs, functional)
 
@@ -296,7 +286,7 @@ def tail_study(spec, functional, lambdas=None, n_samples=2000, tensor=None,
     lambdas = np.asarray(lambdas, dtype=np.float64)
 
     hits = np.array([(values > lam).sum() for lam in lambdas])
-    if len(hits) == 0 or hits.min() < min_tail_hits:
+    if hits.min() < min_tail_hits:
         raise ValueError(
             f"insufficient tail mass: top threshold has {int(hits.min())} hits "
             f"< {min_tail_hits}; lower the thresholds or add samples"

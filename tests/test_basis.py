@@ -7,14 +7,15 @@ import pytest
 from scipy import special
 
 from crlab.basis import (
+    _LOG_TINY,
     HOLOMORPHIC,
     RADIAL,
+    build_laguerre_rule,
     eigenspace,
     eval_basis,
     family_from_label,
     hermite_polyparts,
     laguerre_weighted,
-    laguerre_weighted_single,
     lp_norm,
     norm_decay_study,
 )
@@ -46,18 +47,42 @@ def test_hermite_orthonormality_by_quadrature():
 
 
 def test_laguerre_weighted_orthonormality():
-    # int_0^inf psi_j psi_k du = delta_jk for psi_k = L_k e^{-u/2}
-    nodes, weights = special.roots_laguerre(60)
-    table = laguerre_weighted(10, nodes)
-    gram = (table * (weights * np.exp(nodes))) @ table.T
-    assert np.allclose(gram, np.eye(11), atol=1e-10)
+    # int_0^inf psi_j^{(a)} psi_k^{(a)} du = delta_jk; psi_j psi_k is u^a times
+    # a polynomial of degree j + k times e^{-u}, which the 40-node rule integrates
+    rule = build_laguerre_rule(40)
+    for a in (0, 3, 10):
+        table = laguerre_weighted(np.arange(11), a, rule.nodes)
+        gram = (table * rule.weights) @ table.T
+        assert np.allclose(gram, np.eye(11), atol=1e-12)
 
 
-def test_laguerre_weighted_single_matches_table():
-    u = np.linspace(0.0, 40.0, 50)
-    table = laguerre_weighted(5, u)
-    for n in range(6):
-        assert np.allclose(laguerre_weighted_single(n, u), table[n], atol=1e-12)
+def test_laguerre_weighted_matches_scipy():
+    m, a = (grid.ravel() for grid in np.meshgrid(np.arange(41), np.arange(41)))
+    u = np.linspace(0.0, 200.0, 401)
+    table = laguerre_weighted(m, a, u)
+    log_norm = (0.5 * (special.gammaln(m + 1.0) - special.gammaln(m + a + 1.0))[:, None]
+                + 0.5 * special.xlogy(a[:, None], u) - 0.5 * u)
+    ref = special.eval_genlaguerre(m[:, None], a[:, None], u) * np.exp(log_norm)
+    assert np.max(np.abs(table - ref)) <= 1e-12
+
+
+def test_laguerre_weighted_orthonormality_beyond_normal_seeds():
+    # a 2000-node rule reaches u ~ 8000, where e^{-u/2} is far below the
+    # smallest normal float: those nodes run the exponent-carrying recurrence
+    rule = build_laguerre_rule(2000)
+    assert np.count_nonzero(-0.5 * rule.nodes < _LOG_TINY) > 900
+    orders = np.array([0, 1, 7, 500, 1333, 1999])
+    table = laguerre_weighted(orders, 0, rule.nodes)
+    gram = (table * rule.weights) @ table.T
+    # at this size the rule's folded weights at its smallest nodes are accurate
+    # to ~1e-7 relative only, which puts the gram ~1e-9 off the identity
+    assert np.allclose(gram, np.eye(len(orders)), atol=1e-8)
+    # the rule's weights come from the same routine, so a wrong exponent that
+    # scales every far value alike would cancel above; across the point where
+    # the seed leaves float range the values must continue smoothly instead
+    u = -2.0 * _LOG_TINY + 1e-4 * np.arange(-4, 5)
+    table = laguerre_weighted([400, 1000, 2000], 0, u)
+    assert np.max(np.abs(np.diff(table, 3, axis=1))) <= 1e-11 * np.max(np.abs(table))
 
 
 def test_eval_basis_ground_state_agrees_across_families():

@@ -245,6 +245,18 @@ def test_tails_runs(workdir):
     assert doc["slope"] < 0
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["concentration", "--levels", "", "--samples", "4"], "levels"),
+    (["concentration", "--levels", "16", "--samples", "4"], "levels"),
+    (["tails", "--kind", "white-noise", "--n", "4", "--functional", "L2", "--lambdas", ""],
+     "lambdas"),
+])
+def test_empty_level_and_threshold_lists_exit_three_naming_the_key(workdir, capsys, argv, key):
+    assert run(argv + ["--out", "x.json"]) == 3
+    assert f"{key}:" in capsys.readouterr().err
+    assert not (workdir / "x.json").exists()
+
+
 # 10 expected tail hits among 20 samples put the top threshold at the median;
 # 25 ask for more hits than there are samples
 @pytest.mark.parametrize("hits", ["10", "25"])

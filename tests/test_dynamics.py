@@ -12,7 +12,7 @@ from scipy.special import gammaln
 
 from crlab import dynamics, kernels
 from crlab.basis import HOLOMORPHIC, RADIAL, eigenspace
-from crlab.coupling import CouplingTensor, build_tensor
+from crlab.coupling import CouplingTensor, alpha_hol, build_tensor
 from crlab.dynamics import (
     CoefficientState,
     FlowKernel,
@@ -20,12 +20,7 @@ from crlab.dynamics import (
     NumericalError,
     Projector,
     cutoff_profile,
-    energy,
     evolve,
-    hamiltonian,
-    mass,
-    rhs,
-    sobolev_norm,
     spacetime_l4,
     state_from_dict,
     state_to_dict,
@@ -224,17 +219,26 @@ def test_rhs_is_minus_i_contraction():
     proj = Projector("sharp", 5)
     state = random_state(HOLOMORPHIC, 5, seed=1)
     kernel = FlowKernel(tensor, proj)
-    assert np.allclose(rhs(state, tensor, proj), -1j * kernel.contraction(state.coeffs))
+    assert np.allclose(kernel.rhs(state.coeffs), -1j * kernel.contraction(state.coeffs))
 
 
 def test_scalar_functionals_match_kernel():
     tensor = build_tensor(HOLOMORPHIC, 6)
     state = random_state(HOLOMORPHIC, 6, seed=3)
+    c = state.coeffs
     kernel = FlowKernel(tensor, Projector("sharp", 6))
-    m, e, h = kernel.conserved(state.coeffs, kernel.rhs(state.coeffs))
-    assert mass(state) == pytest.approx(m, rel=1e-14)
-    assert energy(state) == pytest.approx(e, rel=1e-14)
-    assert hamiltonian(state, tensor) == pytest.approx(h, rel=1e-13)
+    m, e, h = kernel.conserved(c, kernel.rhs(c))
+    # the quartic form summed directly over every ordered resonant quadruple
+    n1, n2, n3 = (grid.ravel() for grid in np.meshgrid(*3 * [np.arange(7)], indexing="ij"))
+    n4 = n1 + n2 - n3
+    keep = (n4 >= 0) & (n4 <= 6)
+    n1, n2, n3, n4 = n1[keep], n2[keep], n3[keep], n4[keep]
+    quartic = np.sum(alpha_hol(n1, n2, n3, n4) * c[n1] * c[n2] * np.conj(c[n3] * c[n4]))
+    assert m == pytest.approx(np.sum(np.abs(c) ** 2), rel=1e-14)
+    lam = HOLOMORPHIC.eigenvalue(np.arange(7))
+    assert e == pytest.approx(np.sum(lam * np.abs(c) ** 2), rel=1e-14)
+    assert h == pytest.approx(quartic.real, rel=1e-13)
+    assert abs(quartic.imag) <= 1e-13 * abs(quartic.real)
 
 
 @pytest.mark.parametrize("kind", ["sharp", "smooth"])
@@ -254,13 +258,6 @@ def test_conservation_log_costs_no_extra_contractions(monkeypatch, kind):
     kernel = FlowKernel(tensor, proj)
     assert result.log.hamiltonian[0] == kernel.hamiltonian(state.coeffs)
     assert result.log.hamiltonian[-1] == kernel.hamiltonian(result.state.coeffs)
-
-
-def test_sobolev_norm_anchors():
-    state = CoefficientState(HOLOMORPHIC, np.array([1.0 + 0j, 0j, 0j]))
-    lam0 = HOLOMORPHIC.eigenvalue(0)
-    assert sobolev_norm(state, 0.0) == pytest.approx(1.0)
-    assert sobolev_norm(state, 2.0) == pytest.approx(lam0)
 
 
 def test_spacetime_l4_ground_state_anchor():
@@ -341,4 +338,4 @@ def test_quartic_residual_is_numerical_error():
     broken = CouplingTensor(tensor.family, tensor.cutoff, tensor.indices, weights, tensor.constant)
     state = CoefficientState(HOLOMORPHIC, np.array([1.0, 1j, 0.5, -0.3 + 0.2j]))
     with pytest.raises(NumericalError, match="imaginary residual"):
-        hamiltonian(state, broken)
+        FlowKernel(broken, Projector("sharp", 3)).hamiltonian(state.coeffs)

@@ -182,5 +182,7 @@ def test_concentration_structure_and_determinism():
 
 
 def test_concentration_rejects_degenerate_levels():
-    with pytest.raises(ConfigError):
-        concentration_study([1, 4], 10)
+    # log N must be positive, and the band verdict needs two levels to compare
+    for levels in ([1, 4], [], [4]):
+        with pytest.raises(ConfigError):
+            concentration_study(levels, 10)

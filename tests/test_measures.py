@@ -22,7 +22,6 @@ from crlab.measures import (
     GibbsStallError,
     MeasureSpec,
     estimate_partition,
-    sample,
     sample_ensemble,
     sample_gibbs_metropolis,
     spec_from_dict,
@@ -57,8 +56,7 @@ def test_sampling_is_deterministic_and_indexed():
     again = sample_ensemble(spec, 8)
     assert np.array_equal(ensemble, again)
     for k in (0, 3, 7):
-        state = sample(spec, index=k)
-        assert np.array_equal(state.coeffs, ensemble[k])
+        assert np.array_equal(sample_ensemble(spec, 1, start_index=k)[0], ensemble[k])
     shifted = sample_ensemble(spec, 4, start_index=2)
     assert np.array_equal(shifted, ensemble[2:6])
 
@@ -129,7 +127,7 @@ def test_gibbs_stall_suggests_metropolis():
     tensor = build_tensor(HOLOMORPHIC, 4)
     spec = MeasureSpec("gibbs", HOLOMORPHIC, 4, beta=1e12, seed=0)
     with pytest.raises(GibbsStallError, match="metropolis"):
-        sample(spec, 0, tensor=tensor)
+        sample_ensemble(spec, 1, tensor=tensor)
 
 
 def test_metropolis_matches_rejection_moments():
@@ -191,13 +189,15 @@ def test_tail_sup_over_grid_is_the_refined_polar_sup(family):
     u0 = np.abs([sum(c * eval_basis(family, n, 0.0, 0.0) for n, c in enumerate(row))
                  for row in coeffs])
     assert np.all(values >= u0 * (1.0 - 1e-12))
-    ells = _harmonics(family, 33)
+    ells, orders = _harmonics(family, 33)
     r_max, n_r, n_t = _polar_resolution(family, ells)
+    # a rotation-invariant field needs one angular row
+    assert (n_r, n_t) == ((489, 264) if family == HOLOMORPHIC else (929, 1))
     fine = sup_norms(family, coeffs, n_radial=4 * n_r, n_theta=4 * n_t, check=False)
     assert np.all(np.abs(values - fine) <= 1e-3 * fine)
     # the engine's field against the basis functions at every 4th grid point
     r = np.linspace(0.0, r_max, n_r)
-    field = _polar_field(coeffs[0], ells, _angular_radial_table(family, ells, r), n_t)
+    field = _polar_field(coeffs[0], ells, _angular_radial_table(ells, orders, r), n_t)
     rr, th = np.meshgrid(r[::4], 2.0 * math.pi * np.arange(0, n_t, 4) / n_t)
     x1, x2 = rr * np.cos(th), rr * np.sin(th)
     exact = sum(c * eval_basis(family, n, x1, x2) for n, c in enumerate(coeffs[0]))
