@@ -45,7 +45,6 @@ from .measures import (
     GibbsStallError,
     sample_ensemble,
     sample_gibbs_metropolis,
-    estimate_partition,
     tail_study,
 )
 from .invariance_lab import (
@@ -90,7 +89,6 @@ __all__ = [
     "GibbsStallError",
     "sample_ensemble",
     "sample_gibbs_metropolis",
-    "estimate_partition",
     "tail_study",
     "ConfigError",
     "EnsembleReport",

@@ -543,7 +543,10 @@ def norm_decay_study(family, p, n_values, log_correction=False, npoints=2048):
 # Every family's field is an angular Fourier series
 # u(r, theta) = sum_j g_j R_j(r) e^{i l_j theta}: holomorphic mode n is the
 # harmonic l = n, radial mode n is l = 0, and an eigenspace E_N is read in
-# its rotation-adapted basis, l = -N, -N+2, ..., N.
+# its rotation-adapted basis, l = -N, -N+2, ..., N.  The harmonics of E_N
+# share the parity of N, so |u|^2 is pi-periodic and the field is built on
+# half the angles; every field is built radii by angles, with its FFT along
+# the contiguous angular axis.
 
 def _harmonics(family, n_modes):
     """The angular harmonic l_j and the Laguerre order m_j of each
@@ -558,10 +561,10 @@ def _harmonics(family, n_modes):
 
 
 def _angular_radial_table(ells, orders, r):
-    """Radial profiles R_j(r) = psi_{m_j}^{(|l_j|)}(r^2) / sqrt(pi), one row
-    per coefficient, on the radii r."""
+    """Radial profiles R_j(r) = psi_{m_j}^{(|l_j|)}(r^2) / sqrt(pi), one
+    column per coefficient, one row per radius r."""
     u = np.asarray(r, dtype=np.float64) ** 2
-    return laguerre_weighted(orders, np.abs(ells), u) / math.sqrt(math.pi)
+    return np.ascontiguousarray(laguerre_weighted(orders, np.abs(ells), u).T) / math.sqrt(math.pi)
 
 
 def _polar_resolution(family, ells, n_radial=None, n_theta=None):
@@ -581,55 +584,73 @@ def _polar_resolution(family, ells, n_radial=None, n_theta=None):
     return r_max, int(n_radial), int(n_theta)
 
 
-def _polar_field(g, ells, table, n_theta):
-    """u at theta_k = 2 pi k / n_theta (rows) and the table's radii (columns)."""
-    spectrum = np.zeros((n_theta, table.shape[1]), dtype=np.complex128)
-    for j, ell in enumerate(ells.tolist()):
-        spectrum[ell % n_theta] += g[j] * table[j]
-    return np.fft.ifft(spectrum, axis=0) * n_theta
+def _angular_fold(ells, n_theta):
+    """(steps, n_cols) with l_j = l_0 + f steps_j and n_cols = n_theta / f,
+    where f is the gcd of n_theta and every l_j - l_0.  On the grid
+    theta_k = 2 pi k / n_theta, |u|^2 then has period n_cols in k: f = 2 on
+    an eigenspace (its harmonics share the parity of N), f = 1 on the
+    holomorphic chain, and a field of one harmonic, or a radial one, has a
+    single angular column."""
+    fold = math.gcd(n_theta, *(ells - ells[0]).tolist())
+    return (ells - ells[0]) // fold, n_theta // fold
 
 
-def _refine_peak(p, t_idx, r_idx):
-    """Parabolic refinement of a grid maximum of |u|^2, one axis at a time."""
-    n_t, n_r = p.shape
-    peak = max(p[t_idx, r_idx], _parabola_vertex(
-        p[(t_idx - 1) % n_t, r_idx], p[t_idx, r_idx], p[(t_idx + 1) % n_t, r_idx]))
+def _polar_field(g, steps, table, n_cols):
+    """u e^{-i l_0 theta} at the table's radii (rows) and the first n_cols
+    angles theta_k = 2 pi k / n_theta (columns), by one in-place inverse FFT
+    along the contiguous angular axis.  Harmonics are distinct modulo
+    n_theta unless all are equal, which leaves one column."""
+    if n_cols == 1:
+        # one real matrix product on the (re, im) pairs of g
+        return (table @ g.view(np.float64).reshape(-1, 2)).view(np.complex128)
+    spectrum = np.zeros((table.shape[0], n_cols), dtype=np.complex128)
+    spectrum[:, steps] = table * g
+    return np.fft.ifft(spectrum, axis=1, norm="forward", out=spectrum)
+
+
+def _refine_peak(modulus, r_idx, t_idx):
+    """Parabolic refinement of a grid maximum of |u|^2, one axis at a time,
+    from the grid values of |u|; the angular axis wraps around its period."""
+    n_r, n_t = modulus.shape
+    ring = modulus[r_idx, [(t_idx - 1) % n_t, t_idx, (t_idx + 1) % n_t]] ** 2
+    peak = max(ring[1], _parabola_vertex(*ring))
     if 0 < r_idx < n_r - 1:
-        peak = max(peak, _parabola_vertex(*p[t_idx, r_idx - 1:r_idx + 2]))
-    return peak
+        peak = max(peak, _parabola_vertex(*modulus[r_idx - 1:r_idx + 2, t_idx] ** 2))
+    return float(peak)
 
 
-def _sup_of_sample(g, ells, table, n_theta):
+def _sup_of_sample(g, steps, table, n_cols):
     """sup |u| over the polar grid, with the peak refined."""
-    field = _polar_field(g, ells, table, n_theta)
-    p = field.real ** 2 + field.imag ** 2
-    t_idx, r_idx = np.unravel_index(int(np.argmax(p)), p.shape)
-    return math.sqrt(_refine_peak(p, t_idx, r_idx))
+    modulus = np.abs(_polar_field(g, steps, table, n_cols))
+    r_idx, t_idx = np.unravel_index(int(np.argmax(modulus)), modulus.shape)
+    return math.sqrt(_refine_peak(modulus, r_idx, t_idx))
 
 
 def sup_norms(family, coeffs, n_radial=None, n_theta=None, check=True):
     """sup |u| of the field of each row of a (rows, n_modes) coefficient matrix.
 
     The field is built on a polar grid that includes r = 0, by one FFT over
-    theta per row, and the grid maximum of |u|^2 is refined by a parabola
-    along each axis.  An eigenspace row is read as coefficients in the
+    theta per row on the angles of one period of |u|^2, and the grid maximum
+    of |u|^2 is refined by a parabola along each axis.  An eigenspace row is read as coefficients in the
     rotation-adapted basis, whose fields differ from the Hermite-product
     ones but whose Gaussian measures agree.  With check=True the first three
     rows are recomputed on the doubled grid and must agree to 0.1%, or
     GridResolutionError is raised.
     """
-    coeffs = np.asarray(coeffs, dtype=np.complex128)
+    coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
     ells, orders = _harmonics(family, coeffs.shape[1])
     r_max, n_r, n_t = _polar_resolution(family, ells, n_radial, n_theta)
     table = _angular_radial_table(ells, orders, np.linspace(0.0, r_max, n_r))
+    steps, n_cols = _angular_fold(ells, n_t)
     if check:
         table_fine = _angular_radial_table(ells, orders, np.linspace(0.0, r_max, 2 * n_r))
+        steps_fine, n_cols_fine = _angular_fold(ells, 2 * n_t)
         for g in coeffs[:3]:
-            coarse = _sup_of_sample(g, ells, table, n_t)
-            fine = _sup_of_sample(g, ells, table_fine, 2 * n_t)
+            coarse = _sup_of_sample(g, steps, table, n_cols)
+            fine = _sup_of_sample(g, steps_fine, table_fine, n_cols_fine)
             if abs(coarse - fine) > 1e-3 * fine:
                 raise GridResolutionError(
                     f"sup-norm grid too coarse for {family.label} at cutoff "
                     f"{len(ells) - 1}: {coarse!r} vs {fine!r} at doubled resolution"
                 )
-    return np.array([_sup_of_sample(g, ells, table, n_t) for g in coeffs])
+    return np.array([_sup_of_sample(g, steps, table, n_cols) for g in coeffs])

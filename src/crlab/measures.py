@@ -35,7 +35,6 @@ __all__ = [
     "GibbsStallError",
     "sample_ensemble",
     "sample_gibbs_metropolis",
-    "estimate_partition",
     "tail_study",
 ]
 
@@ -221,24 +220,6 @@ def sample_gibbs_metropolis(spec, count, tensor, burn_in=200, thin=5):
             out[kept] = x
             kept += 1
     return out
-
-
-def estimate_partition(spec, n_samples, tensor):
-    """Monte Carlo (mean, stderr) of e^{-beta H} under the gaussian-free base.
-
-    This is the reciprocal normalization constant of the Gibbs measure; for
-    fixed beta the estimates converge as the cutoff grows.
-    """
-    if spec.kind != "gibbs":
-        raise ValueError("partition estimation is for gibbs specs")
-    if n_samples < 100:
-        raise ValueError("need n_samples >= 100")
-    kernel = _gibbs_weight(spec, tensor)
-    base = MeasureSpec("gaussian-free", spec.family, spec.cutoff, seed=spec.seed)
-    vals = np.exp(-spec.beta * kernel.hamiltonians(sample_ensemble(base, n_samples)))
-    mean = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(n_samples))
-    return mean, stderr
 
 
 FUNCTIONALS = ("spacetime-L4", "sup-over-grid", "L2")

@@ -9,6 +9,7 @@ from scipy import stats
 from crlab.basis import (
     HOLOMORPHIC,
     RADIAL,
+    _angular_fold,
     _angular_radial_table,
     _harmonics,
     _polar_field,
@@ -21,7 +22,6 @@ from crlab.coupling import build_tensor
 from crlab.measures import (
     GibbsStallError,
     MeasureSpec,
-    estimate_partition,
     sample_ensemble,
     sample_gibbs_metropolis,
     spec_from_dict,
@@ -144,20 +144,6 @@ def test_metropolis_matches_rejection_moments():
     assert np.array_equal(chain, again)
 
 
-def test_partition_estimate():
-    tensor = build_tensor(HOLOMORPHIC, 4)
-    z0, se0 = estimate_partition(MeasureSpec("gibbs", HOLOMORPHIC, 4, beta=0.0, seed=0),
-                                 500, tensor)
-    assert z0 == 1.0 and se0 == 0.0
-    z1, se1 = estimate_partition(MeasureSpec("gibbs", HOLOMORPHIC, 4, beta=1.0, seed=0),
-                                 4000, tensor)
-    assert 0.0 < z1 < 1.0
-    assert se1 > 0.0
-    z2, _ = estimate_partition(MeasureSpec("gibbs", HOLOMORPHIC, 4, beta=2.0, seed=0),
-                               4000, tensor)
-    assert z2 < z1
-
-
 def test_tail_study_matches_gamma_survival():
     # white noise: ||c||_2^2 is a sum of N+1 unit exponentials
     cutoff = 7
@@ -195,13 +181,38 @@ def test_tail_sup_over_grid_is_the_refined_polar_sup(family):
     assert (n_r, n_t) == ((489, 264) if family == HOLOMORPHIC else (929, 1))
     fine = sup_norms(family, coeffs, n_radial=4 * n_r, n_theta=4 * n_t, check=False)
     assert np.all(np.abs(values - fine) <= 1e-3 * fine)
-    # the engine's field against the basis functions at every 4th grid point
+    # the engine's field against the basis functions at every 4th grid point;
+    # both fields have l_0 = 0 and one angular period, so no fold or phase
     r = np.linspace(0.0, r_max, n_r)
-    field = _polar_field(coeffs[0], ells, _angular_radial_table(ells, orders, r), n_t)
-    rr, th = np.meshgrid(r[::4], 2.0 * math.pi * np.arange(0, n_t, 4) / n_t)
+    steps, n_cols = _angular_fold(ells, n_t)
+    assert n_cols == n_t
+    field = _polar_field(coeffs[0], steps, _angular_radial_table(ells, orders, r), n_cols)
+    rr, th = np.meshgrid(r[::4], 2.0 * math.pi * np.arange(0, n_t, 4) / n_t, indexing="ij")
     x1, x2 = rr * np.cos(th), rr * np.sin(th)
     exact = sum(c * eval_basis(family, n, x1, x2) for n, c in enumerate(coeffs[0]))
     assert np.max(np.abs(field[::4, ::4] - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+
+@pytest.mark.parametrize("level,n_theta,fold", [(8, None, 2), (9, None, 2), (9, 45, 1)])
+def test_folded_eigenspace_field_is_the_direct_angular_sum(level, n_theta, fold):
+    # E_N's harmonics l = -N, -N+2, ..., N share the parity of N, so |u|^2 is
+    # pi-periodic and the engine builds u e^{-i l_0 theta} on n_theta / 2
+    # angles; an odd n_theta does not fold
+    family = eigenspace(level)
+    g = sample_ensemble(MeasureSpec("eigenspace", family, level, seed=5), 1)[0]
+    ells, orders = _harmonics(family, level + 1)
+    r_max, n_r, n_t = _polar_resolution(family, ells, n_theta=n_theta)
+    table = _angular_radial_table(ells, orders, np.linspace(0.0, r_max, n_r))
+    steps, n_cols = _angular_fold(ells, n_t)
+    assert n_cols * fold == n_t
+    theta = 2.0 * math.pi * np.arange(n_t) / n_t
+    exact = sum(g[j] * np.outer(table[:, j], np.exp(1j * ell * theta))
+                for j, ell in enumerate(ells.tolist()))
+    field = np.tile(_polar_field(g, steps, table, n_cols), (1, fold))
+    assert np.max(np.abs(field * np.exp(1j * ells[0] * theta) - exact)) <= 1e-12 * np.max(np.abs(exact))
+    if fold == 2:
+        half = np.abs(exact[:, n_t // 2:]) - np.abs(exact[:, :n_t // 2])
+        assert np.max(np.abs(half)) <= 1e-12 * np.max(np.abs(exact))
 
 
 def test_tail_study_rejects_unknown_functional():
