@@ -13,6 +13,7 @@ Exit codes: 0 = success / PASS, 2 = statistical FAIL, 3 = config error,
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -198,6 +199,7 @@ def _flag(key, default):
     return _FLAGS.get(key, (prefix + key.replace("_", "-"),)), settings
 
 
+@functools.cache  # parsing does not mutate the parser; build it once per process
 def _build_parser():
     parser = _Parser(prog="crlab", description=__doc__.splitlines()[0])
     parser.add_argument(

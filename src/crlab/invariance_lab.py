@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from . import coupling, measures
 from .basis import HOLOMORPHIC, eigenspace, sup_norms
@@ -180,6 +179,10 @@ def invariance_test(spec, tensor, t, n_samples, config=None, start_index=0):
 
     t0 = observables.evaluate(c0)
     t1 = observables.evaluate(c1)
+
+    # imported here, not at the top: scipy.stats is about half of crlab's
+    # cold import, and no other verdict or subcommand needs it
+    from scipy import stats
 
     m = len(observables)
     rows = []
@@ -347,8 +350,8 @@ def cauchy_study(sigma, cutoff, m_values, n_samples, seed=0):
     gaps = means[:-1] - means[1:]
     gap_scale = 2.0 * np.sqrt(stderrs[:-1] ** 2 + stderrs[1:] ** 2)
     monotone = bool(np.all(gaps > gap_scale))
-    # M = cutoff makes the difference exactly zero; keep it out of the log fit
-    pos = means > 0
+    # M = cutoff makes the difference exactly zero, M = 0 has no log; keep both out of the fit
+    pos = (means > 0) & (np.asarray(m_values) > 0)
     if int(pos.sum()) > 1:
         slope = float(np.polyfit(np.log(np.asarray(m_values)[pos]), np.log(means[pos]), 1)[0])
     else:

@@ -80,7 +80,9 @@ def build_plan(tensor, mode_weights=None):
 
     code_in = idx[:, 0] * n + idx[:, 1]
     code_out = idx[:, 2] * n + idx[:, 3]
-    codes = np.unique(np.concatenate([code_in, code_out]))
+    present = np.zeros(n * n, dtype=bool)
+    present[code_in] = present[code_out] = True
+    codes = np.flatnonzero(present)
     a, b = np.divmod(codes, n)
     key = a + b if tensor.family.kind != "eigenspace" else (a + b) % 2
     order = np.argsort(key, kind="stable")
@@ -91,23 +93,30 @@ def build_plan(tensor, mode_weights=None):
     first = np.concatenate([[True], key[1:] != key[:-1]])
     block_of = np.cumsum(first) - 1
     bounds = np.append(np.flatnonzero(first), len(codes))
-    sizes = np.diff(bounds)
-    offsets = np.concatenate([[0], np.cumsum(sizes * sizes)])
+    # flat holds the blocks in turn, each row-major, so the rows of all blocks
+    # (one per output pair q) run through it in order; (q, p) is at shift[q] + p
+    row_len = np.diff(bounds)[block_of]
+    row_start = np.concatenate([[0], np.cumsum(row_len)])
+    shift = row_start[:-1] - bounds[block_of]
 
     p, q = pos[code_in], pos[code_out]
-    blk = block_of[p]
-    if np.any(blk != block_of[q]):
+    if np.any(block_of[p] != block_of[q]):
         raise ValueError("a tensor entry couples two resonance blocks")
-    flat = np.zeros(offsets[-1])
+    flat = np.zeros(row_start[-1])
     m = 1.0 + (a < b)
-    flat[offsets[blk] + (q - bounds[blk]) * sizes[blk] + (p - bounds[blk])] = m[p] * weights
+    flat[shift[q] + p] = m[p] * weights
     blocks = tuple(
-        (int(lo), int(hi), flat[offsets[k]:offsets[k + 1]].reshape(hi - lo, hi - lo))
-        for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
+        (lo, hi, flat[row_start[lo]:row_start[hi]].reshape(hi - lo, hi - lo))
+        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())
     )
 
-    weight = sparse.csr_array(sparse.block_diag([wt for _, _, wt in blocks], format="csr"))
-    weight.eliminate_zeros()  # block_diag stores the zeros of dense blocks
+    # the same blocks as one block-diagonal CSR without their zeros; flat[nz]
+    # is a copy, so the block views stay untouched
+    nz = flat != 0
+    col = np.arange(len(flat)) - np.repeat(shift, row_len)
+    itype = sparse.get_index_dtype(maxval=len(flat))  # int32 where it fits, as scipy picks
+    indptr = np.append(0, np.cumsum(nz))[row_start].astype(itype)
+    weight = sparse.csr_array((flat[nz], col[nz].astype(itype), indptr), shape=(len(codes),) * 2)
     pairs = np.arange(len(codes))
     asym = a < b
     return ContractionPlan(

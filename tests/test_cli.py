@@ -211,6 +211,11 @@ def test_cauchy_small_run_passes(workdir):
     assert doc["slope"] < 0
 
 
+def test_cauchy_zero_mask_runs(workdir):
+    assert run(["cauchy", "--sigma", "1.5", "--n", "16", "--m-values", "0,4,8",
+                "--samples", "40", "--out", "c.json"]) == 0
+
+
 def test_recurrence_runs(workdir):
     assert run(["recurrence", "--level", "0", "--t-max", "30", "--dt", "0.5",
                 "--samples", "3", "--theta", "0.5", "--out", "rec.json"]) == 0

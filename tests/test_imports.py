@@ -1,7 +1,12 @@
-"""Import hygiene: no module imports a name it never uses, and every name a
-module exports is bound in it."""
+"""Import hygiene: no module imports a name it never uses, every name a
+module exports is bound in it, and scipy.stats loads only with the one
+verdict that uses it."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -78,3 +83,28 @@ def test_checker_flags_only_unbound_exports():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_module_exports_only_bound_names(path):
     assert unbound_exports(path.read_text(encoding="utf-8")) == []
+
+
+# Runs small subcommands in one fresh interpreter and prints, after the
+# non-invariance ones and after an invariance run, whether scipy.stats is loaded.
+_STATS_PROBE = """
+import contextlib, io, json, os, sys
+import crlab.cli as cli
+os.chdir(sys.argv[1])
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.run(["cauchy", "--n", "12", "--m-values", "2,4,8", "--samples", "120",
+                      "--seed", "1", "--out", "c.json"]),
+             cli.run(["concentration", "--levels", "3,4", "--samples", "4", "--out", "k.json"])]
+    before = "scipy.stats" in sys.modules
+    codes.append(cli.run(["invariance", "--measure", "white-noise", "--n", "4", "--t", "0.2",
+                          "--samples", "20", "--report", "r.json"]))
+print(json.dumps([codes, before, "scipy.stats" in sys.modules]))
+"""
+
+
+def test_scipy_stats_loads_only_for_the_invariance_verdict(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _STATS_PROBE, str(tmp_path)], env=env,
+                          capture_output=True, text=True, check=True, timeout=120)
+    assert json.loads(done.stdout) == [[0, 0, 0], False, True]

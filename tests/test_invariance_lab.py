@@ -161,6 +161,11 @@ def test_cauchy_full_mask_is_exact_zero():
     assert out["means"][-1] == 0.0
 
 
+def test_cauchy_zero_mask_stays_out_of_the_fit():
+    out = cauchy_study(1.5, 16, [0, 4, 8], 40)
+    assert np.isfinite(out["slope"]) and out["slope"] < 0.0
+
+
 def test_cauchy_rejects_bad_sigma_and_masks():
     with pytest.raises(ConfigError):
         cauchy_study(1.0, 8, [2, 4], 10)

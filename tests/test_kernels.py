@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import sparse
 
 import crlab
 from crlab.basis import HOLOMORPHIC, RADIAL, eigenspace
@@ -183,6 +184,30 @@ def test_cauchy_study_matches_per_row_loop():
             sq[i, j] = np.sum(sob * np.abs(diff) ** 2)
     assert np.allclose(got["means"], sq.mean(axis=0), rtol=1e-12, atol=0)
     assert np.allclose(got["stderrs"], sq.std(axis=0, ddof=1) / np.sqrt(n), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("family,cutoff", [(HOLOMORPHIC, 9), (RADIAL, 7), (eigenspace(4), 4)])
+def test_plan_blocks_and_weight_hold_every_tensor_entry(family, cutoff):
+    # a chi that zeroes the top mode leaves zeros inside the dense blocks,
+    # which the CSR drops and the blocks keep
+    tensor = build_tensor(family, cutoff)
+    chi = np.linspace(1.0, 0.5, cutoff + 1)
+    chi[-1] = 0.0
+    plan = build_plan(tensor, chi)
+
+    idx = tensor.indices
+    weights = tensor.weights * chi[idx[:, 0]] * chi[idx[:, 1]] * chi[idx[:, 2]] * chi[idx[:, 3]]
+    pair = {(a, b): k for k, (a, b) in enumerate(zip(plan.pair_a.tolist(), plan.pair_b.tolist()))}
+    want = np.zeros((len(pair), len(pair)))
+    for (n1, n2, n3, n4), w in zip(idx.tolist(), weights):
+        want[pair[n3, n4], pair[n1, n2]] = (1.0 + (n1 < n2)) * w
+    assert np.any(weights == 0.0)
+
+    full = sparse.csr_array(sparse.block_diag([wt for _, _, wt in plan.blocks], format="csr"))
+    assert np.array_equal(full.toarray(), want)
+    full.eliminate_zeros()
+    for field in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(plan.weight, field), getattr(full, field)), field
 
 
 def test_rhs_bitwise_deterministic():
