@@ -15,7 +15,7 @@ from .basis import (
     GridResolutionError,
     eigenspace,
     family_from_label,
-    hermite_polyparts,
+    hermite_functions,
     laguerre_weighted,
     eval_basis,
     lp_norm,
@@ -64,7 +64,7 @@ __all__ = [
     "BasisFamily",
     "eigenspace",
     "family_from_label",
-    "hermite_polyparts",
+    "hermite_functions",
     "laguerre_weighted",
     "eval_basis",
     "lp_norm",

@@ -12,12 +12,12 @@ integer n:
   spanned by h_k(x1) h_{N-k}(x2) for k = 0..N, where h_k are the
   L^2(R)-normalized 1D Hermite functions.
 
-Evaluation never forms factorials or raw Hermite polynomials: the 1D chain
-uses the normalized three-term recurrence, and every radial profile (the
-holomorphic and radial chains, and an eigenspace read in polar form) comes
-from one normalized Laguerre recurrence, laguerre_weighted.  The
-Gaussian envelope is kept separate wherever quadrature needs the polynomial
-part alone.  sup_norms, the sup norm of whole fields, reads every family as
+Evaluation never forms factorials or raw Hermite polynomials: the 1D
+Hermite functions and every radial profile (the holomorphic and radial
+chains, and an eigenspace read in polar form) come from one normalized
+three-term recurrence seeded in log form.  lp_norm uses closed forms where
+they exist and otherwise one Gauss-Legendre rule between the zeros of the
+integrand.  sup_norms, the sup norm of whole fields, reads every family as
 an angular Fourier series on one polar grid.
 """
 
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import gammaln
+from scipy.special import gammaln, xlogy
 
 __all__ = [
     "BasisFamily",
@@ -38,8 +38,7 @@ __all__ = [
     "GridResolutionError",
     "build_quadrature",
     "build_laguerre_rule",
-    "eval_hermite_1d",
-    "hermite_polyparts",
+    "hermite_functions",
     "laguerre_weighted",
     "eval_basis",
     "lp_norm",
@@ -47,13 +46,18 @@ __all__ = [
     "sup_norms",
 ]
 
-# Log of the smallest normal float64: envelopes below it are combined with
-# their polynomial part in log space.
+# Log of the smallest normal float64: chain seeds below it run on mantissas
+# with a separate power-of-two exponent.
 _LOG_TINY = math.log(np.finfo(float).tiny)
 _LN2 = math.log(2.0)
-# exponent-carrying Laguerre mantissas are scaled down past 2^600, far enough
-# below overflow for one more recurrence step at any argument in use
+# exponent-carrying mantissas are scaled down past 2^600, far enough below
+# overflow for one more recurrence step at any argument in use
 _RESCALE_BITS = 600
+# |f|^p is integrated out to this far past the turning point of f, where it
+# has fallen below e^{-80} of its peak
+_TAIL = 8.0
+# Newton steps for the Hermite sup; five reach rounding for every k <= 2000
+_NEWTON_STEPS = 8
 
 
 class GridResolutionError(ValueError):
@@ -183,107 +187,112 @@ def build_laguerre_rule(n_nodes, scale=1.0):
     """Gauss rule on [0, inf) in folded form: sum(w g(u)) = int g(u) du,
     exact whenever g(u) = P(u) e^(-scale u) with deg P <= 2 n_nodes - 1.
 
-    The e^(-scale u) factor is folded into the weights via the identity
-    w_i e^(v_i) = v_i / ((n+1) psi_{n+1}(v_i))^2 with psi_k = L_k e^(-v/2),
-    which keeps every weight a normal float even for rules with thousands of
-    nodes (the raw Gauss-Laguerre weights underflow there).  Callers must
-    therefore hand in integrands that already carry their own exponential
-    decay, e.g. psi_n(u)^p.
+    The weights carry the e^(-scale u) factor by the Christoffel form
+    w_i e^(v_i) = 1 / sum_{k<n} psi_k(v_i)^2 with psi_k = L_k e^(-u/2),
+    summed along one run of the recurrence: every weight is a normal float,
+    accurate to rounding, even where the raw Gauss-Laguerre weights
+    underflow.  Callers must therefore hand in integrands that already carry
+    their own exponential decay, e.g. psi_n(u)^p.
     """
     if n_nodes < 1:
         raise ValueError("need at least one node")
     if not (scale > 0) or not math.isfinite(scale):
         raise ValueError("scale must be positive and finite")
-    diag = 2.0 * np.arange(n_nodes) + 1.0
-    off = np.arange(1.0, n_nodes)
-    if n_nodes == 1:
-        v = np.array([1.0])
-    else:
-        v = eigh_tridiagonal(diag, off, eigvals_only=True)
-    psi = laguerre_weighted(n_nodes + 1, 0, v)[0]
-    wfold = v / ((n_nodes + 1) * psi) ** 2
-    return QuadratureRule(nodes=v / scale, weights=wfold / scale, scale=float(scale))
+    v = _laguerre_zeros(n_nodes)
+    total = np.zeros_like(v)
+    for idx, _, psi in _chain(v, -0.5 * v, _laguerre_step(0), n_nodes - 1):
+        total[idx] += psi * psi
+    return QuadratureRule(nodes=v / scale, weights=1.0 / (total * scale), scale=float(scale))
+
+
+def _laguerre_zeros(n):
+    """Zeros of L_n, the eigenvalues of its Jacobi matrix (none for n = 0)."""
+    if n == 0:
+        return np.zeros(0)
+    return eigh_tridiagonal(2.0 * np.arange(n) + 1.0, np.arange(1.0, n), eigvals_only=True)
+
+
+def _hermite_zeros(k):
+    """Zeros of h_k, the eigenvalues of its Jacobi matrix (none for k = 0)."""
+    if k == 0:
+        return np.zeros(0)
+    return eigh_tridiagonal(np.zeros(k), np.sqrt(np.arange(1, k) / 2.0), eigvals_only=True)
 
 
 # ---------------------------------------------------------------------------
-# 1D building blocks
+# orthonormal chains
 
-def eval_hermite_1d(n, x):
-    """Normalized 1D Hermite function h_n(x), vectorized over x.
+def _chain(x, log_seed, step, top):
+    """Yield (idx, k, psi_k(x[idx])) for k = 0..top, where psi_0 = e^log_seed
+    and psi_{k+1} = a_k psi_k - b_k psi_{k-1} with (a_k, b_k) = step(k, x[idx]).
 
-    Uses the stable normalized recurrence
-    h_{k+1} = x sqrt(2/(k+1)) h_k - sqrt(k/(k+1)) h_{k-1}
-    on the envelope-free values h_k e^(x^2/2) with exponent tracking, so the
-    result is correct wherever it is representable and 0 where the true
-    value underflows.
+    The recurrence is normalized, so every value it yields is bounded.  Points
+    whose seed is a normal float run it directly.  The others run on mantissas
+    of psi * 2^exponent with an integer exponent per point, which takes the
+    powers of two before they can overflow; so large arguments neither
+    underflow at the seed nor overflow on the way, and values below float64
+    range come out subnormal or 0.
     """
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("non-finite evaluation point")
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    v0 = np.full(x.shape, math.pi ** -0.25)
-    logscale = np.zeros_like(x)
-    if n == 0:
-        vn = v0
-    else:
-        v1 = math.sqrt(2.0) * x * v0
-        for k in range(1, n):
-            v0, v1 = v1, x * math.sqrt(2.0 / (k + 1)) * v1 - math.sqrt(k / (k + 1.0)) * v0
-            big = np.abs(v1) > 1e250
-            if np.any(big):
-                v0[big] *= 1e-250
-                v1[big] *= 1e-250
-                logscale[big] += 250.0 * math.log(10.0)
-        vn = v1
-    logenv = logscale - 0.5 * x * x
-    with np.errstate(under="ignore"):
-        out = np.where(logenv > _LOG_TINY + 40.0, vn * np.exp(np.minimum(logenv, 0.0)), 0.0)
-        # points whose combined magnitude sits between tiny and the cutoff
-        mag = np.log(np.abs(vn) + 1e-300) + logenv
-        edge = (logenv <= _LOG_TINY + 40.0) & (mag > _LOG_TINY)
-        if np.any(edge):
-            out[edge] = np.sign(vn[edge]) * np.exp(mag[edge])
-    return float(out[0]) if scalar else out
+    far = (log_seed < _LOG_TINY) & (log_seed > -np.inf)
+    shift = np.floor(log_seed[far] / _LN2).astype(np.int64)
+    mantissa = np.exp(log_seed[far] - shift * _LN2)
+    for idx, psi, exponent in ((np.flatnonzero(~far), np.exp(log_seed[~far]), None),
+                               (np.flatnonzero(far), mantissa, shift)):
+        if idx.size == 0:
+            continue
+        pts = x[idx]
+        prev = np.zeros_like(pts)
+        yield idx, 0, psi if exponent is None else np.ldexp(psi, exponent)
+        for k in range(top):
+            a, b = step(k, pts)
+            psi, prev = a * psi - b * prev, psi
+            if exponent is not None:
+                big = np.abs(psi) > 2.0 ** _RESCALE_BITS
+                if np.any(big):
+                    psi[big] = np.ldexp(psi[big], -_RESCALE_BITS)
+                    prev[big] = np.ldexp(prev[big], -_RESCALE_BITS)
+                    exponent[big] += _RESCALE_BITS
+            yield idx, k + 1, psi if exponent is None else np.ldexp(psi, exponent)
 
 
-def hermite_polyparts(n_max, x):
-    """Envelope-free Hermite values h_k(x) e^(x^2/2) for k = 0..n_max.
-
-    Returns an array of shape (n_max+1, len(x)).  Only valid while the
-    envelope-free values stay inside float64 range (x^2/2 < ~600); quadrature
-    nodes used in this package always satisfy that by construction.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(x * x > 1200.0):
-        raise ValueError("evaluation points too far out for envelope-free values")
-    out = np.empty((n_max + 1, x.size))
-    out[0] = math.pi ** -0.25
-    if n_max >= 1:
-        out[1] = math.sqrt(2.0) * x * out[0]
-    for k in range(1, n_max):
-        out[k + 1] = x * math.sqrt(2.0 / (k + 1)) * out[k] - math.sqrt(k / (k + 1.0)) * out[k - 1]
+def _chain_rows(orders, x, log_seed, step):
+    """The chain's values at the given orders, one row per order."""
+    out = np.empty((orders.size, x.size))
+    for idx, k, psi in _chain(x, log_seed, step, int(orders.max())):
+        at_k = np.flatnonzero(orders == k)
+        if at_k.size:
+            out[np.ix_(at_k, idx)] = psi
     return out
 
 
-def _laguerre_chain(alpha, u, psi, max_order, exponent=None):
-    """Yield psi_k^{(alpha)}(u) for k = 0..max_order from psi = psi_0^{(alpha)}(u),
-    by the normalized recurrence, whose every value is bounded.  Given an
-    integer exponent per point, the chain runs on mantissas of psi * 2^exponent
-    and moves powers of two into the exponent before they can overflow."""
-    prev = np.zeros_like(u)
-    yield psi
-    for k in range(max_order):
+def _laguerre_step(alpha):
+    def step(k, u):
         a = (2 * k + 1 + alpha - u) / math.sqrt((k + 1.0) * (k + 1.0 + alpha))
-        b = math.sqrt(k * (k + alpha) / ((k + 1.0) * (k + 1.0 + alpha)))
-        psi, prev = a * psi - b * prev, psi
-        if exponent is not None:
-            big = np.abs(psi) > 2.0 ** _RESCALE_BITS
-            if np.any(big):
-                psi[big] = np.ldexp(psi[big], -_RESCALE_BITS)
-                prev[big] = np.ldexp(prev[big], -_RESCALE_BITS)
-                exponent[big] += _RESCALE_BITS
-        yield psi
+        return a, math.sqrt(k * (k + alpha) / ((k + 1.0) * (k + 1.0 + alpha)))
+    return step
+
+
+def _hermite_step(k, x):
+    return x * math.sqrt(2.0 / (k + 1)), math.sqrt(k / (k + 1.0))
+
+
+def hermite_functions(k, x):
+    """Normalized 1D Hermite functions h_{k_j}(x), one row per order k_j.
+
+    h_k(x) = (2^k k! sqrt(pi))^{-1/2} H_k(x) e^{-x^2/2} is orthonormal in
+    L^2(R).  The result has shape (rows, len(x)) and is valid at every finite
+    x.  All rows come from one run of the normalized recurrence
+    h_{k+1} = x sqrt(2/(k+1)) h_k - sqrt(k/(k+1)) h_{k-1}, seeded at
+    h_0 = pi^{-1/4} e^{-x^2/2} in log form, on the same chain as
+    laguerre_weighted.
+    """
+    k = np.atleast_1d(np.asarray(k, dtype=np.int64))
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    if not np.all(np.isfinite(x)):
+        raise ValueError("non-finite evaluation point")
+    if np.any(k < 0):
+        raise ValueError("Hermite order must be >= 0")
+    return _chain_rows(k, x, -0.25 * math.log(math.pi) - 0.5 * x * x, _hermite_step)
 
 
 def laguerre_weighted(m, alpha, u):
@@ -292,13 +301,9 @@ def laguerre_weighted(m, alpha, u):
     psi_m^{(a)}(u) = sqrt(m!/(m+a)!) u^{a/2} L_m^{(a)}(u) e^{-u/2} is
     orthonormal in L^2(du) for each a; with a = 0 it is L_m(u) e^{-u/2}.
     Orders m and alpha are broadcast against each other; the result has shape
-    (rows, len(u)) and is valid for every u >= 0.
-
-    All rows of one alpha come from one run of the normalized recurrence,
-    seeded at psi_0^{(a)} in log form.  Only points whose seed is not a
-    normal float carry a separate power-of-two exponent through the
-    recurrence, so large arguments neither underflow at the seed nor overflow
-    on the way; values below float64 range come out subnormal or 0.
+    (rows, len(u)) and is valid for every u >= 0.  All rows of one alpha come
+    from one run of the normalized recurrence, seeded at psi_0^{(a)} in log
+    form.
     """
     m, alpha = np.broadcast_arrays(np.atleast_1d(np.asarray(m, dtype=np.int64)),
                                    np.atleast_1d(np.asarray(alpha, dtype=np.int64)))
@@ -312,21 +317,8 @@ def laguerre_weighted(m, alpha, u):
         logu = np.log(u)
     for a in np.unique(alpha).tolist():
         rows = np.flatnonzero(alpha == a)
-        orders = m[rows]
         log_seed = -0.5 * u if a == 0 else 0.5 * (a * logu - u - gammaln(a + 1.0))
-        with np.errstate(under="ignore"):
-            seed = np.exp(log_seed)
-        far = (log_seed < _LOG_TINY) & (log_seed > -np.inf)
-        shift = np.floor(log_seed[far] / _LN2).astype(np.int64)
-        mantissa = np.exp(log_seed[far] - shift * _LN2)
-        for idx, psi0, exponent in ((np.flatnonzero(~far), seed[~far], None),
-                                    (np.flatnonzero(far), mantissa, shift)):
-            if idx.size == 0:
-                continue
-            for k, psi in enumerate(_laguerre_chain(a, u[idx], psi0, int(orders.max()), exponent)):
-                at_k = rows[orders == k]
-                if at_k.size:
-                    out[np.ix_(at_k, idx)] = psi if exponent is None else np.ldexp(psi, exponent)
+        out[rows] = _chain_rows(m[rows], u, log_seed, _laguerre_step(a))
     return out
 
 
@@ -355,8 +347,8 @@ def eval_basis(family, n, x1, x2):
     else:
         if n > family.level:
             raise ValueError(f"eigenspace({family.level}) has modes 0..{family.level}")
-        h1 = eval_hermite_1d(n, x1.ravel()).reshape(x1.shape)
-        h2 = eval_hermite_1d(family.level - n, x2.ravel()).reshape(x2.shape)
+        h1 = hermite_functions(n, x1.ravel())[0].reshape(x1.shape)
+        h2 = hermite_functions(family.level - n, x2.ravel())[0].reshape(x2.shape)
         out = (h1 * h2).astype(complex)
     return complex(out[0]) if scalar else out
 
@@ -364,146 +356,98 @@ def eval_basis(family, n, x1, x2):
 # ---------------------------------------------------------------------------
 # L^p norms
 
-def _simpson(values, dx):
-    # composite Simpson over an odd number of uniformly spaced points
-    n = values.shape[-1]
-    if n % 2 == 0:
-        raise ValueError("Simpson needs an odd point count")
-    coeff = np.ones(n)
-    coeff[1:-1:2] = 4.0
-    coeff[2:-1:2] = 2.0
-    return float(np.sum(values * coeff, axis=-1) * dx / 3.0)
+def _between_zeros(integrand, zeros, end, points):
+    """int_0^end of integrand = |f|^p (times a smooth weight) by a
+    Gauss-Legendre rule of ``points`` nodes on each interval between
+    consecutive zeros of f (ascending, below end), where |f|^p is one arch,
+    and on intervals at most 0.5 wide from the last zero to end."""
+    edges = np.concatenate(([0.0], zeros[zeros > 0.0]))
+    tail = np.linspace(edges[-1], end, math.ceil(2.0 * (end - edges[-1])) + 1)
+    edges = np.concatenate((edges, tail[1:]))
+    t, w = np.polynomial.legendre.leggauss(points)
+    half = 0.5 * np.diff(edges)
+    x = (edges[:-1] + half)[:, None] + half[:, None] * t
+    return float(np.sum(half[:, None] * w * integrand(x.ravel()).reshape(x.shape)))
 
 
-def _hol_lp_finite(n, p, npts):
-    # |phi_n|(r) = exp(n log r - r^2/2 - C) with C = (lgamma(n+1) + log pi)/2;
-    # the integrand is a single smooth bump, integrated in shifted log form.
-    C = 0.5 * (gammaln(n + 1) + math.log(math.pi))
-    rmax = 1.2 * math.sqrt(2.0 * (2.0 * n + 2.0)) + 4.0
-    r = np.linspace(0.0, rmax, npts | 1)
-    if n == 0:
-        lg = p * (-0.5 * r * r - C)
-    else:
-        logr = np.where(r > 0, np.log(np.maximum(r, 1e-300)), -np.inf)
-        lg = p * (n * logr - 0.5 * r * r - C)
-    m = float(np.max(lg))
-    with np.errstate(under="ignore"):
-        body = np.exp(np.maximum(lg - m, -745.0)) * r
-    # ||phi||_p = e^(m/p) (2 pi int e^(lg - m) r dr)^(1/p); keeping the shift
-    # inside the root avoids under/overflow for extreme (n, p)
-    integral = 2.0 * math.pi * _simpson(body, r[1] - r[0])
-    return math.exp(m / p) * integral ** (1.0 / p)
+def _hermite_sup(k):
+    """sup |h_k|.  By Sonin-Polya the maxima of |h_k| grow toward the
+    turning point sqrt(2k+1), so the sup sits at the largest critical point,
+    found by Newton's method on h_k' = sqrt(2k) h_{k-1} - x h_k, with
+    h_k'' = (x^2 - 2k - 1) h_k, from halfway between the largest zero and the
+    turning point."""
+    if k == 0:
+        return math.pi ** -0.25
+    x = 0.5 * (_hermite_zeros(k)[-1] + math.sqrt(2 * k + 1))
+    for _ in range(_NEWTON_STEPS):
+        h_prev, h = hermite_functions([k - 1, k], x)[:, 0]
+        x -= (math.sqrt(2.0 * k) * h_prev - x * h) / ((x * x - 2 * k - 1) * h)
+    return abs(float(hermite_functions(k, x)[0, 0]))
 
 
-def _lp_1d_hermite(k, p, npts):
-    # int |h_k(x)|^p dx by composite Simpson
-    lam = 2 * k + 1
-    xmax = 1.2 * math.sqrt(2.0 * lam) + 4.0
-    x = np.linspace(-xmax, xmax, npts | 1)
-    vals = np.abs(eval_hermite_1d(k, x)) ** p
-    return _simpson(vals, x[1] - x[0])
+def lp_norm(family, n, p):
+    """L^p(R^2) norm of the n-th basis function, for p in [2, inf].
 
-
-def _parabola_vertex(y0, y1, y2):
-    """Vertex height of the parabola through three equally spaced values
-    where it opens downward; the middle value otherwise."""
-    denom = y0 - 2.0 * y1 + y2
-    return y1 - 0.125 * (y0 - y2) ** 2 / denom if denom < 0 else y1
-
-
-def _sup_refined(values, xs):
-    # grid max plus parabolic refinement through the bracketing triple
-    i = int(np.argmax(values))
-    if 0 < i < len(xs) - 1:
-        return float(max(_parabola_vertex(*values[i - 1:i + 2]), values[i]))
-    return float(values[i])
-
-
-def _radial_lp_even(n, p, extra_nodes=0):
-    # int |phi|^p = pi^(1-p/2) int_0^inf psi_n(u)^p du and psi_n^p is exactly
-    # a degree-pn polynomial times e^(-(p/2)u): the folded Laguerre rule is exact.
-    s = p / 2.0
-    n_nodes = (p * n) // 2 + 1 + extra_nodes
-    rule = build_laguerre_rule(n_nodes, scale=s)
-    psi = laguerre_weighted(n, 0, rule.nodes)[0]
-    integral = float(np.sum(rule.weights * psi ** p))
-    return (math.pi ** (1.0 - p / 2.0) * integral) ** (1.0 / p)
-
-
-def lp_norm(family, n, p, npoints=2048):
-    """Numerical L^p(R^2) norm of the n-th basis function.
-
-    Parameters
-    ----------
-    family : BasisFamily
-    n : int
-        Mode index.
-    p : float or math.inf
-        Exponent in [2, inf]; p = inf is the sup over a refined grid.
-    npoints : int
-        Base resolution for composite quadrature.  A second computation at
-        doubled resolution (or an enlarged Gauss rule) always runs; the two
-        must agree to 1e-3 relative or GridResolutionError is raised.
-
-    Notes
-    -----
-    Every integrand here reduces to 1D: holomorphic and radial moduli are
-    radially symmetric, and eigenspace basis functions factor across axes.
+    Holomorphic norms and the radial sup (1/sqrt(pi), at the origin) are
+    closed forms, and an eigenspace sup is the product of two 1D sups
+    (_hermite_sup).  Every other norm integrates |f|^p between the zeros of
+    f (_between_zeros): the radial profile psi_n(r^2), or each 1D Hermite
+    factor of an eigenspace mode on x >= 0, doubled.  That integral runs with
+    16 and 32 points per interval, which must agree to 1e-3 relative or
+    GridResolutionError is raised.
     """
-    if p != math.inf and p < 2:
+    if not p >= 2:
         raise ValueError("p must be in [2, inf]")
     if n < 0:
         raise ValueError("mode index must be >= 0")
     if family.kind == "eigenspace" and not 0 <= n <= family.level:
         raise ValueError(f"eigenspace({family.level}) has modes 0..{family.level}")
 
-    radial_exact = (
-        family.kind == "radial"
-        and p != math.inf
-        and float(p).is_integer()
-        and int(p) % 2 == 0
-    )
-
-    def compute(npts, extra_nodes):
-        if radial_exact:
-            return _radial_lp_even(n, int(p), extra_nodes)
-        if family.kind != "eigenspace" and p == math.inf:
-            rmax = 1.2 * math.sqrt(2.0 * family.eigenvalue(n)) + 4.0
-            r = np.linspace(0.0, rmax, npts)
-            vals = np.abs(eval_basis(family, n, r, np.zeros_like(r)))
-            return _sup_refined(vals, r)
-        if family.kind == "holomorphic":
-            return _hol_lp_finite(n, p, npts)
-        if family.kind == "radial":
-            umax = 4.0 * n * 1.15 + 30.0
-            u = np.linspace(0.0, umax, npts | 1)
-            psi = laguerre_weighted(n, 0, u)[0]
-            integral = math.pi ** (1.0 - p / 2.0) * _simpson(np.abs(psi) ** p, u[1] - u[0])
-            return integral ** (1.0 / p)
-        k, m = n, family.level - n
+    if family.kind == "holomorphic":
+        # |phi_n| = r^n e^{-r^2/2} / sqrt(pi n!) peaks at r^2 = n, and
+        # int |phi_n|^p = pi^{1-p/2} (n!)^{-p/2} (2/p)^{np/2+1} Gamma(np/2+1)
         if p == math.inf:
-            sup = 1.0
-            for kk in (k, m):
-                xmax = 1.2 * math.sqrt(2.0 * (2 * kk + 1)) + 4.0
-                x = np.linspace(0.0, xmax, npts)  # |h_k| is even in x
-                sup *= _sup_refined(np.abs(eval_hermite_1d(kk, x)), x)
-            return sup
-        return (_lp_1d_hermite(k, p, npts) * _lp_1d_hermite(m, p, npts)) ** (1.0 / p)
+            return math.exp(0.5 * (xlogy(n, n) - n - math.log(math.pi) - gammaln(n + 1.0)))
+        log_integral = ((1.0 - 0.5 * p) * math.log(math.pi) - 0.5 * p * gammaln(n + 1.0)
+                        + (0.5 * n * p + 1.0) * math.log(2.0 / p) + gammaln(0.5 * n * p + 1.0))
+        return math.exp(log_integral / p)
+    if p == math.inf:
+        if family.kind == "radial":
+            return 1.0 / math.sqrt(math.pi)
+        return _hermite_sup(n) * _hermite_sup(family.level - n)
 
-    base = compute(npoints, 0)
-    fine = compute(2 * npoints, 24)
-    ref = max(abs(fine), 1e-300)
-    rel = abs(base - fine) / ref
+    # (integrand, zeros, turning point) per 1D factor
+    if family.kind == "radial":
+        # int |phi_n|^p dx = pi^{1-p/2} int_0^inf |psi_n(r^2)|^p 2r dr
+        def radial(r):
+            return 2.0 * r * np.abs(laguerre_weighted(n, 0, r * r)[0]) ** p
+        factors = [(radial, np.sqrt(_laguerre_zeros(n)), math.sqrt(4.0 * n + 2.0))]
+        constant = math.pi ** (1.0 - 0.5 * p)
+    else:
+        # |h_k|^p is even: twice its integral over x >= 0, once per axis
+        def hermite(k):
+            return lambda x: np.abs(hermite_functions(k, x)[0]) ** p
+        factors = [(hermite(k), _hermite_zeros(k), math.sqrt(2.0 * k + 1.0))
+                   for k in (n, family.level - n)]
+        constant = 4.0
+
+    def compute(points):
+        integral = constant
+        for integrand, zeros, turning in factors:
+            integral *= _between_zeros(integrand, zeros, turning + _TAIL, points)
+        return integral ** (1.0 / p)
+
+    base, fine = compute(16), compute(32)
+    rel = abs(base - fine) / max(abs(fine), 1e-300)
     if rel > 1e-3:
         raise GridResolutionError(
             f"L^{p} norm self-check failed for {family.label} n={n}: "
-            f"{base!r} vs {fine!r} at doubled resolution (rel {rel:.2e}); "
-            f"increase npoints"
+            f"{base!r} with 16 points per interval vs {fine!r} with 32 (rel {rel:.2e})"
         )
     return fine
 
 
-def norm_decay_study(family, p, n_values, log_correction=False, npoints=2048):
+def norm_decay_study(family, p, n_values, log_correction=False):
     """Fit the large-n decay of the basis L^p norms.
 
     Least squares of log ||phi_n||_p against log n, optionally with a
@@ -515,7 +459,7 @@ def norm_decay_study(family, p, n_values, log_correction=False, npoints=2048):
     n_values = [int(n) for n in n_values]
     if len(n_values) < (3 if log_correction else 2) or min(n_values) < 2:
         raise ValueError("need at least 2 (3 with log correction) indices, all >= 2")
-    norms = np.array([lp_norm(family, n, p, npoints=npoints) for n in n_values])
+    norms = np.array([lp_norm(family, n, p) for n in n_values])
     logn = np.log(np.asarray(n_values, dtype=float))
     y = np.log(norms)
     cols = [np.ones_like(logn), logn]
@@ -606,6 +550,13 @@ def _polar_field(g, steps, table, n_cols):
     spectrum = np.zeros((table.shape[0], n_cols), dtype=np.complex128)
     spectrum[:, steps] = table * g
     return np.fft.ifft(spectrum, axis=1, norm="forward", out=spectrum)
+
+
+def _parabola_vertex(y0, y1, y2):
+    """Vertex height of the parabola through three equally spaced values
+    where it opens downward; the middle value otherwise."""
+    denom = y0 - 2.0 * y1 + y2
+    return y1 - 0.125 * (y0 - y2) ** 2 / denom if denom < 0 else y1
 
 
 def _refine_peak(modulus, r_idx, t_idx):

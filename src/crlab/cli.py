@@ -127,7 +127,6 @@ _SCHEMAS = {
         "p": "inf",
         "n_values": (64, 128, 256, 512, 1024),
         "log_correction": False,
-        "npoints": 2048,
         "out": "norms.json",
     }),
     "tails": ("survival-curve fit of a functional under a measure", {
@@ -512,8 +511,7 @@ def _parse_p(resolved):
 def _cmd_norms(resolved):
     result = norm_decay_study(
         _family(resolved), _parse_p(resolved), _int_list(resolved, "n_values"),
-        log_correction=bool(resolved["log_correction"]),
-        npoints=int(resolved["npoints"]))
+        log_correction=bool(resolved["log_correction"]))
     out = _require(resolved, "out")
     _write_json(out, result)
     extra = ""

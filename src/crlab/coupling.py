@@ -37,7 +37,7 @@ from .basis import (
     build_laguerre_rule,
     build_quadrature,
     eigenspace,
-    hermite_polyparts,
+    hermite_functions,
     laguerre_weighted,
 )
 
@@ -113,8 +113,8 @@ def oracle_rule(family, max_index):
 def _hermite_product_table(n_max, rule):
     """B[k, i] = w_i^{1/4} h_k(x_i) e^{x_i^2/2}: four-row products reassemble
     weight times the bare polynomial parts without any overflow risk."""
-    parts = hermite_polyparts(n_max, rule.nodes)
-    return rule.weights ** 0.25 * parts
+    x = rule.nodes
+    return rule.weights ** 0.25 * np.exp(0.5 * x * x) * hermite_functions(np.arange(n_max + 1), x)
 
 
 def _space_integral(family, quad, rule):

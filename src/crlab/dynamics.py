@@ -26,7 +26,7 @@ from .basis import (
     build_laguerre_rule,
     build_quadrature,
     family_from_label,
-    hermite_polyparts,
+    hermite_functions,
     laguerre_weighted,
 )
 
@@ -386,15 +386,15 @@ def evolve(state, tensor, proj, t, config=None, checkpoints=None):
 
 
 def _spacetime_l4_hol(coeffs):
-    n = np.arange(len(coeffs), dtype=np.float64)
-    if len(coeffs) > 150:
-        raise ValueError("holomorphic space-time norm implemented for cutoffs <= 149")
-    a = coeffs * np.exp(-0.5 * (math.log(math.pi) + gammaln(n + 1.0)))
-    b = np.convolve(a, a)
-    m = np.arange(len(b), dtype=np.float64)
-    bt = b * np.exp(0.5 * (gammaln(m + 1.0) - m * math.log(2.0)))
-    total = (math.pi ** 2 / 4.0) * float(np.sum(bt.real ** 2 + bt.imag ** 2))
-    return total ** 0.25
+    # pi b_m = sum_{j+k=m} c_j c_k (m! / (j! k! 2^m))^{1/2}, an anti-diagonal
+    # sum whose weights, square roots of binomial probabilities, are <= 1
+    j, k = np.indices((len(coeffs), len(coeffs)))
+    m = j + k
+    log_fact = gammaln(np.arange(2 * len(coeffs) - 1) + 1.0)
+    weight = np.exp(0.5 * (log_fact[m] - log_fact[j] - log_fact[k] - m * math.log(2.0)))
+    terms = (np.outer(coeffs, coeffs) * weight).ravel()
+    b = np.bincount(m.ravel(), terms.real) + 1j * np.bincount(m.ravel(), terms.imag)
+    return (0.25 * float(np.sum(b.real ** 2 + b.imag ** 2))) ** 0.25
 
 
 def _spacetime_l4_radial(coeffs):
@@ -414,7 +414,8 @@ def _spacetime_l4_radial(coeffs):
 def _spacetime_l4_eigenspace(family, coeffs):
     N = family.level
     rule = build_quadrature(2 * N + 5, scale=2.0)
-    table = rule.weights[None, :] ** 0.25 * hermite_polyparts(N, rule.nodes)
+    x = rule.nodes
+    table = rule.weights ** 0.25 * np.exp(0.5 * x * x) * hermite_functions(np.arange(N + 1), x)
     F = (coeffs[:, None] * table).T @ table[::-1]
     total = float(np.sum((F.real ** 2 + F.imag ** 2) ** 2))
     return ((math.pi / 2.0) * total) ** 0.25

@@ -243,11 +243,28 @@ def test_norms_runs(workdir):
     assert doc["exponent"] == pytest.approx(-0.25, abs=0.05)
 
 
+def test_norms_radial_non_even_p_runs(workdir):
+    assert run(["norms", "--family", "radial", "--p", "3",
+                "--n-values", "16,64,256,1024", "--out", "n.json"]) == 0
+
+
+def test_norms_nan_p_exits_three(workdir, capsys):
+    assert run(["norms", "--family", "hol", "--p", "nan", "--n-values", "4,8",
+                "--out", "n.json"]) == 3
+    assert "p must be in [2, inf]" in capsys.readouterr().err
+    assert not (workdir / "n.json").exists()
+
+
 def test_tails_runs(workdir):
     assert run(["tails", "--kind", "white-noise", "--n", "4", "--functional", "L2",
                 "--samples", "500", "--seed", "3", "--out", "t.json"]) == 0
     doc = json.loads((workdir / "t.json").read_text())
     assert doc["slope"] < 0
+
+
+def test_tails_holomorphic_spacetime_norm_beyond_150_modes_runs(workdir):
+    assert run(["tails", "--kind", "gaussian-free", "--family", "hol", "--cutoff", "160",
+                "--samples", "50", "--out", "t.json"]) == 0
 
 
 @pytest.mark.parametrize("argv, key", [

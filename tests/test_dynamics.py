@@ -290,6 +290,25 @@ def test_spacetime_l4_ground_state_anchor():
         assert spacetime_l4(state) == pytest.approx(target, rel=1e-12)
 
 
+def test_spacetime_l4_holomorphic_matches_convolution_and_has_no_size_limit():
+    # the coefficient convolution of a_n = c_n / sqrt(pi n!), which underflows
+    # past 150 modes, is the reference where it holds
+    def by_convolution(c):
+        n = np.arange(len(c), dtype=np.float64)
+        a = c * np.exp(-0.5 * (math.log(math.pi) + gammaln(n + 1.0)))
+        b = np.convolve(a, a)
+        m = np.arange(len(b), dtype=np.float64)
+        bt = b * np.exp(0.5 * (gammaln(m + 1.0) - m * math.log(2.0)))
+        return ((math.pi ** 2 / 4.0) * float(np.sum(np.abs(bt) ** 2))) ** 0.25
+
+    for cutoff in (32, 149):
+        state = random_state(HOLOMORPHIC, cutoff, seed=cutoff)
+        assert spacetime_l4(state) == pytest.approx(by_convolution(state.coeffs), rel=1e-13)
+    short = random_state(HOLOMORPHIC, 100, seed=3)
+    padded = CoefficientState(HOLOMORPHIC, np.concatenate((short.coeffs, np.zeros(100))))
+    assert spacetime_l4(padded) == pytest.approx(spacetime_l4(short), rel=1e-13)
+
+
 def test_spacetime_l4_families_agree_on_shared_mode():
     # phi_0 + phi_k^hol with k=1 equals the same field as eigenspace(1) mode,
     # so only scaling invariance is cheap to check: norm is 1-homogeneous
