@@ -76,21 +76,19 @@ def alpha_hol(n1, n2, n3, n4):
 
     Returns 0 when n1 + n2 != n3 + n4; on the resonance set the value is
     exp(log(pi/8) + lgamma(S+1) - S log 2 - 1/2 sum_i lgamma(n_i+1)) with
-    S = n1 + n2.
+    S = n1 + n2, every lgamma read from one table over 0..max index.
     """
-    n1, n2, n3, n4 = np.broadcast_arrays(
-        *(np.asarray(a, dtype=np.float64) for a in (n1, n2, n3, n4))
-    )
-    for a in (n1, n2, n3, n4):
-        if np.any(a < 0):
+    given = np.broadcast_arrays(*(np.asarray(a) for a in (n1, n2, n3, n4)))
+    with np.errstate(invalid="ignore"):  # non-finite values fail the equality below
+        n1, n2, n3, n4 = idx = [a.astype(np.int64) for a in given]
+    for a, i in zip(given, idx):
+        if np.any(i != a):
+            raise ValueError("mode indices must be integers")
+        if np.any(i < 0):
             raise ValueError("mode indices must be >= 0")
     s = n1 + n2
-    logs = (
-        _LOG_PI_8
-        + gammaln(s + 1.0)
-        - s * _LN2
-        - 0.5 * (gammaln(n1 + 1.0) + gammaln(n2 + 1.0) + gammaln(n3 + 1.0) + gammaln(n4 + 1.0))
-    )
+    lg = gammaln(np.arange(max(s.max(initial=0), n3.max(initial=0), n4.max(initial=0)) + 1) + 1.0)
+    logs = _LOG_PI_8 + lg[s] - s * _LN2 - 0.5 * (lg[n1] + lg[n2] + lg[n3] + lg[n4])
     out = np.where(s == n3 + n4, np.exp(logs), 0.0)
     return float(out) if out.ndim == 0 else out
 
@@ -349,31 +347,17 @@ def load_tensor(path):
     return tensor.validate()
 
 
-def _resonant_blocks(N):
-    """Canonical pairs (a <= b, a + b = S) for every resonance sum S <= 2N."""
-    blocks = []
-    for s in range(2 * N + 1):
-        a = np.arange(max(0, s - N), s // 2 + 1, dtype=np.int64)
-        blocks.append((s, a, s - a))
-    return blocks
-
-
-def _assemble(family, cutoff, n1, n2, n3, n4, weights, constant):
-    idx = np.column_stack([n1, n2, n3, n4]).astype(np.uint32)
-    order = np.lexsort((idx[:, 3], idx[:, 2], idx[:, 1], idx[:, 0]))
-    return CouplingTensor(family, cutoff, idx[order], np.asarray(weights)[order], constant).validate()
-
-
-def _block_entries(blocks):
-    """Cartesian product of each block's pair list with itself, concatenated."""
-    cols = [[], [], [], []]
-    for _, a, b in blocks:
-        p = len(a)
-        cols[0].append(np.repeat(a, p))
-        cols[1].append(np.repeat(b, p))
-        cols[2].append(np.tile(a, p))
-        cols[3].append(np.tile(b, p))
-    return [np.concatenate(c) for c in cols]
+def _chain_entries(N):
+    """Every chain entry (n1, n2, n3, n4) with indices <= N, in lexicographic
+    order: the canonical pairs (a <= b) in lexicographic order, each followed
+    by the pairs of its block S = a + b in ascending first index, which runs
+    from max(0, S - N) to S // 2."""
+    a, b = np.triu_indices(N + 1)
+    s = a + b
+    lo = np.maximum(0, s - N)
+    count = s // 2 - lo + 1
+    n3 = np.repeat(lo, count) + np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    return np.repeat(a, count), np.repeat(b, count), n3, np.repeat(s, count) - n3
 
 
 def build_tensor(family, N):
@@ -383,7 +367,8 @@ def build_tensor(family, N):
     weights are quadrature values divided by the measured proportionality
     constant, so all families share the closed-form normalization; the
     constant used is stored on the tensor.  Eigenspace tensors span the whole
-    eigenspace: the cutoff must equal the family level.
+    eigenspace: the cutoff must equal the family level.  Entries are built in
+    lexicographic order.
     """
     if N < 0:
         raise ValueError("cutoff must be >= 0")
@@ -391,20 +376,26 @@ def build_tensor(family, N):
     if spread > 1e-6:
         raise RuntimeError(f"oracle/alpha ratio spread {spread:.3e}; quadrature broken")
     if family.kind in ("holomorphic", "radial"):
-        blocks = _resonant_blocks(N)
-        n1, n2, n3, n4 = _block_entries(blocks)
+        n1, n2, n3, n4 = _chain_entries(N)
         if family.kind == "holomorphic":
             weights = alpha_hol(n1, n2, n3, n4)
         else:
             rule = build_laguerre_rule(2 * N + 9, scale=2.0)
             psi = laguerre_weighted(np.arange(N + 1), 0, rule.nodes)
             grams = []
-            for _, a, b in blocks:
-                prod = psi[a] * psi[b]
+            for s in range(2 * N + 1):
+                a = np.arange(max(0, s - N), s // 2 + 1)
+                prod = psi[a] * psi[s - a]
                 grams.append(((prod * rule.weights) @ prod.T).ravel())
             # 2 pi * (pi/2) * (1/pi) / constant per quadrature sum
-            weights = np.concatenate(grams) * (math.pi / constant)
-        return _assemble(family, N, n1, n2, n3, n4, weights, constant)
+            flat = np.concatenate(grams) * (math.pi / constant)
+            # block s's gram sits row-major at start[s], one row and column
+            # per pair, in ascending first index from lo
+            start = np.cumsum([0] + [len(g) for g in grams])
+            s = n1 + n2
+            lo = np.maximum(0, s - N)
+            weights = flat[start[s] + (n1 - lo) * (s // 2 - lo + 1) + n3 - lo]
+        return CouplingTensor(family, N, np.column_stack([n1, n2, n3, n4]), weights, constant).validate()
     if N != family.level:
         raise ValueError("eigenspace tensor spans the whole eigenspace; cutoff must equal the level")
     rule = oracle_rule(family, N)
@@ -419,14 +410,12 @@ def build_tensor(family, N):
     left = gram
     right = gram[np.ix_(mirror, mirror)]
     weight_matrix = left * right * (math.pi ** 2 / constant)
-    p, q = np.meshgrid(np.arange(len(a)), np.arange(len(a)), indexing="ij")
-    p = p.ravel()
-    q = q.ravel()
+    # pairs p and q both run in lexicographic order, so entries come out sorted
+    p, q = (g.ravel() for g in np.meshgrid(np.arange(len(a)), np.arange(len(a)), indexing="ij"))
     parity = (a[p] + b[p] + a[q] + b[q]) % 2 == 0
-    return _assemble(
-        family, N, a[p][parity], b[p][parity], a[q][parity], b[q][parity],
-        weight_matrix.ravel()[parity], constant,
-    )
+    p, q = p[parity], q[parity]
+    indices = np.column_stack([a[p], b[p], a[q], b[q]])
+    return CouplingTensor(family, N, indices, weight_matrix.ravel()[parity], constant).validate()
 
 
 def reference_weights(tensor):

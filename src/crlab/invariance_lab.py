@@ -17,7 +17,7 @@ sup/L2 ratio of eigenspace samples across levels.
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -323,27 +323,35 @@ def cauchy_study(sigma, cutoff, m_values, n_samples, seed=0):
 
     T_M masks the input to modes <= M, applies the full trilinear
     contraction, and masks the output to modes <= M again; T_N is the
-    unmasked contraction at the working cutoff N.  Returns per-M means with
-    standard errors, the fitted log-log slope in M, and whether successive
-    means decrease by more than twice their combined standard errors.
+    unmasked contraction at the working cutoff N.  T_M never reads or writes
+    a mode above M, so it runs as the flow at cutoff M on the first M+1
+    modes.  Returns per-M means with standard errors, the fitted log-log
+    slope in M, and whether successive means decrease by more than twice
+    their combined standard errors.
     """
-    if sigma <= 1:
+    if not sigma > 1:
         raise ConfigError("sigma must exceed 1")
+    if n_samples < 2:
+        raise ConfigError("samples: standard errors need at least 2 samples")
     m_values = sorted(int(m) for m in m_values)
     if not m_values or m_values[-1] > cutoff or m_values[0] < 0:
         raise ConfigError("need masks 0 <= M <= cutoff")
+    if len(set(m_values)) < len(m_values):
+        raise ConfigError(f"m_values: duplicate masks in {m_values}")
     spec = measures.MeasureSpec("white-noise", HOLOMORPHIC, cutoff, seed=seed)
     kernel = FlowKernel(coupling.build_tensor(HOLOMORPHIC, cutoff), spec.projector)
     lam = np.asarray(kernel.eigenvalues, dtype=np.float64)
     sob = lam ** (-float(sigma))
 
     c = measures.sample_ensemble(spec, n_samples)
-    keep = (np.arange(cutoff + 1) <= np.asarray(m_values)[:, None])[:, None, :]
-    # the full input and every masked one, all samples, in one contraction
-    inputs = np.concatenate([c[None], np.where(keep, c, 0.0)])
-    outputs = kernel.contraction(inputs.reshape(-1, cutoff + 1)).reshape(inputs.shape)
-    diff = outputs[0] - np.where(keep, outputs[1:], 0.0)
-    sq = np.sum(sob * (diff.real ** 2 + diff.imag ** 2), axis=-1).T
+    full = kernel.contraction(c)
+    sq = np.empty((len(m_values), n_samples))
+    for i, m in enumerate(m_values):
+        truncated = FlowKernel(coupling.build_tensor(HOLOMORPHIC, m), replace(spec, cutoff=m).projector)
+        diff = full.copy()
+        diff[:, :m + 1] -= truncated.contraction(c[:, :m + 1])
+        sq[i] = np.sum(sob * (diff.real ** 2 + diff.imag ** 2), axis=-1)
+    sq = sq.T  # a transposed view: a C-ordered (n, masks) copy rounds the means differently
 
     means = sq.mean(axis=0)
     stderrs = sq.std(axis=0, ddof=1) / math.sqrt(n_samples)

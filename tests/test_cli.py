@@ -216,6 +216,18 @@ def test_cauchy_zero_mask_runs(workdir):
                 "--samples", "40", "--out", "c.json"]) == 0
 
 
+@pytest.mark.parametrize("flags, key", [
+    (["--m-values", "2,4,8", "--sigma", "nan", "--samples", "20"], "sigma"),
+    (["--m-values", "2,4,8", "--sigma", "1.5", "--samples", "1"], "samples"),
+    (["--m-values", "4,4,8", "--sigma", "1.5", "--samples", "20"], "m_values"),
+])
+def test_cauchy_degenerate_inputs_exit_three_naming_the_key(workdir, capsys, flags, key):
+    argv = ["cauchy", "--cutoff", "16"] + flags + ["--out", "c.json"]
+    assert run(argv) == 3
+    assert key in capsys.readouterr().err
+    assert not (workdir / "c.json").exists()
+
+
 def test_recurrence_runs(workdir):
     assert run(["recurrence", "--level", "0", "--t-max", "30", "--dt", "0.5",
                 "--samples", "3", "--theta", "0.5", "--out", "rec.json"]) == 0

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
-from crlab.basis import HOLOMORPHIC, RADIAL, eigenspace
+from crlab.basis import HOLOMORPHIC, RADIAL, eigenspace, laguerre_weighted
 from crlab.coupling import (
     CouplingTensor,
     alpha_hol,
@@ -70,6 +70,17 @@ def test_alpha_hol_index_symmetries():
         assert alpha_hol(n2, n1, n3, n4) == pytest.approx(base, rel=1e-14)
         assert alpha_hol(n1, n2, n4, n3) == pytest.approx(base, rel=1e-14)
         assert alpha_hol(n3, n4, n1, n2) == pytest.approx(base, rel=1e-14)
+
+
+@pytest.mark.parametrize("quad", [(0.5, 0.5, 0.5, 0.5), (1, 2.5, 1.5, 2), (np.nan, 0, 0, 0),
+                                  (np.inf, 0, 0, 0), (-1, 1, 0, 0)])
+def test_alpha_hol_rejects_non_integer_and_negative_indices(quad):
+    with pytest.raises(ValueError, match="integers|>= 0"):
+        alpha_hol(*quad)
+
+
+def test_alpha_hol_accepts_integral_floats():
+    assert alpha_hol(1.0, 2.0, 3.0, 0.0) == alpha_hol(1, 2, 3, 0)
 
 
 def test_scaled_falling_factorial_small_cases():
@@ -201,6 +212,35 @@ def test_eigenspace_tensor_is_real_positive_diagonalish():
     idx = tensor.indices
     for k in range(4):
         assert ((idx == k).all(axis=1)).any()
+
+
+def _brute_chain_entries(N):
+    """Every quadruple with n1 <= n2, n3 <= n4, n1 + n2 = n3 + n4 and all
+    indices <= N, sorted."""
+    quads = [(n1, n2, n3, n1 + n2 - n3)
+             for n1 in range(N + 1) for n2 in range(n1, N + 1) for n3 in range(N + 1)
+             if n3 <= n1 + n2 - n3 <= N]
+    return sorted(quads)
+
+
+@pytest.mark.parametrize("N", range(13))
+def test_chain_tensor_order_and_weights_match_brute_force(N):
+    hol = build_tensor(HOLOMORPHIC, N)
+    rad = build_tensor(RADIAL, N)
+    expected = _brute_chain_entries(N)
+    assert hol.indices.tolist() == [list(q) for q in expected]
+    assert rad.indices.tolist() == [list(q) for q in expected]
+    assert np.array_equal(hol.weights, [alpha_hol(*q) for q in expected])
+    # radial: the quadrature gram of each block S, pairs in ascending first index
+    rule = oracle_rule(RADIAL, N)
+    psi = laguerre_weighted(np.arange(N + 1), 0, rule.nodes)
+    ref = []
+    for n1, n2, n3, n4 in expected:
+        a = np.arange(max(0, n1 + n2 - N), (n1 + n2) // 2 + 1)
+        prod = psi[a] * psi[n1 + n2 - a]
+        gram = (prod * rule.weights) @ prod.T
+        ref.append(gram[n1 - a[0], n3 - a[0]] * math.pi / rad.constant)
+    assert np.allclose(rad.weights, ref, rtol=1e-13, atol=1e-15 * np.abs(ref).max())
 
 
 def test_radial_tensor_builds_and_validates():

@@ -186,6 +186,19 @@ def test_cauchy_study_matches_per_row_loop():
     assert np.allclose(got["stderrs"], sq.std(axis=0, ddof=1) / np.sqrt(n), rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("m", [0, 1, 5, 12, 24])
+def test_own_cutoff_contraction_equals_masked_full_cutoff(m):
+    # the truncation T_M of cauchy_study: the flow at cutoff M on the first
+    # M+1 modes is the full-cutoff contraction of the masked input on modes <= M
+    cutoff, n = 24, 70
+    c = sample_ensemble(MeasureSpec("white-noise", HOLOMORPHIC, cutoff, seed=4), n)
+    full = FlowKernel(build_tensor(HOLOMORPHIC, cutoff), Projector("sharp", cutoff))
+    own = FlowKernel(build_tensor(HOLOMORPHIC, m), Projector("sharp", m))
+    masked = full.contraction(np.where(np.arange(cutoff + 1) <= m, c, 0.0))
+    got = own.contraction(c[:, :m + 1])
+    assert np.abs(got - masked[:, :m + 1]).max() <= 1e-14 * np.abs(masked).max()
+
+
 @pytest.mark.parametrize("family,cutoff", [(HOLOMORPHIC, 9), (RADIAL, 7), (eigenspace(4), 4)])
 def test_plan_blocks_and_weight_hold_every_tensor_entry(family, cutoff):
     # a chi that zeroes the top mode leaves zeros inside the dense blocks,
