@@ -61,7 +61,7 @@ _NEWTON_STEPS = 8
 
 
 class GridResolutionError(ValueError):
-    """A grid or rule failed its doubled-resolution self-check."""
+    """A grid or rule failed its self-check."""
 
 
 @dataclass(frozen=True)
@@ -154,33 +154,28 @@ class QuadratureRule:
 
 
 def build_quadrature(n_nodes, scale=1.0):
-    """Gauss rule for the weight e^(-scale x^2) on the real line.
+    """Gauss rule of n_nodes nodes for the weight e^(-scale x^2), scale > 0,
+    on the real line: exact through degree 2 n_nodes - 1.
 
-    Parameters
-    ----------
-    n_nodes : int
-        Number of nodes; the rule is exact through degree 2 n_nodes - 1.
-    scale : float
-        Gaussian scale s in the weight e^(-s x^2); must be > 0.
-
-    Returns
-    -------
-    QuadratureRule
+    The nodes are the zeros of H_n, the eigenvalues of its Jacobi matrix
+    polished by one Newton step.  The weights are the Christoffel form
+    w_i = e^(-x_i^2) / sum_{k<n} h_k(x_i)^2, summed along one run of the
+    Hermite recurrence, so each holds its relative accuracy out to the
+    outermost node, at any n.
     """
     if n_nodes < 1:
         raise ValueError("need at least one node")
     if not (scale > 0) or not math.isfinite(scale):
         raise ValueError("scale must be positive and finite")
-    if n_nodes <= 160:
-        x, w = np.polynomial.hermite.hermgauss(n_nodes)
-    else:
-        # Golub-Welsch on the Hermite Jacobi matrix; stays accurate where
-        # hermgauss's Newton polish degrades for very large rules.
-        off = np.sqrt(np.arange(1, n_nodes) / 2.0)
-        x, vec = eigh_tridiagonal(np.zeros(n_nodes), off)
-        w = math.sqrt(math.pi) * vec[0] ** 2
+    x = _hermite_zeros(n_nodes)
+    # Newton on h_n, h_n' = sqrt(2n) h_{n-1} - x h_n: the outer eigenvalues are
+    # off by up to 2e-13, which makes a 9e-12 weight error at 300 nodes
+    h = hermite_functions([n_nodes - 1, n_nodes], x)
+    x = x - h[1] / (math.sqrt(2.0 * n_nodes) * h[0] - x * h[1])
+    total = _christoffel_sum(x, -0.25 * math.log(math.pi) - 0.5 * x * x, _hermite_step)
     root = math.sqrt(scale)
-    return QuadratureRule(nodes=x / root, weights=w / root, scale=float(scale))
+    return QuadratureRule(nodes=x / root, weights=np.exp(-x * x) / (total * root),
+                          scale=float(scale))
 
 
 def build_laguerre_rule(n_nodes, scale=1.0):
@@ -199,10 +194,18 @@ def build_laguerre_rule(n_nodes, scale=1.0):
     if not (scale > 0) or not math.isfinite(scale):
         raise ValueError("scale must be positive and finite")
     v = _laguerre_zeros(n_nodes)
-    total = np.zeros_like(v)
-    for idx, _, psi in _chain(v, -0.5 * v, _laguerre_step(0), n_nodes - 1):
-        total[idx] += psi * psi
+    total = _christoffel_sum(v, -0.5 * v, _laguerre_step(0))
     return QuadratureRule(nodes=v / scale, weights=1.0 / (total * scale), scale=float(scale))
+
+
+def _christoffel_sum(nodes, log_seed, step):
+    """sum_{k<n} psi_k(x_i)^2 at the n zeros x_i of psi_n, by one run of the
+    chain: the reciprocal of the Christoffel function, whose value there is
+    the Gauss weight in the chain's own normalization."""
+    total = np.zeros_like(nodes)
+    for idx, _, psi in _chain(nodes, log_seed, step, len(nodes) - 1):
+        total[idx] += psi * psi
+    return total
 
 
 def _laguerre_zeros(n):

@@ -546,6 +546,8 @@ def _cmd_oracle_check(resolved):
     if family.kind != "holomorphic":
         raise ConfigError(f"family: only the holomorphic oracle exists, not {family.label}")
     max_index = int(_require(resolved, "max_index"))
+    if max_index < 0:
+        raise ConfigError("max_index must be >= 0")
     constant, spread, count = coupling.proportionality_constant(max_index)
     ok = spread < 1e-6
     outputs = []

@@ -34,6 +34,7 @@ from scipy.special import gammaln
 from .basis import (
     HOLOMORPHIC,
     BasisFamily,
+    GridResolutionError,
     build_laguerre_rule,
     build_quadrature,
     eigenspace,
@@ -153,7 +154,8 @@ def oracle_coupling(family, n1, n2, n3, n4, rule=None):
     e^{i tau (lam3 + lam4 - lam1 - lam2)} dtau in closed form and I_space =
     int phi_{n1} phi_{n2} conj(phi_{n3} phi_{n4}) dx by a scale-2 Gauss rule.
     The imaginary residual must stay below 1e-10 (anything larger signals a
-    failed quadrature or an inconsistent rule) and is discarded afterwards.
+    failed quadrature or an inconsistent rule, and raises
+    GridResolutionError) and is discarded afterwards.
 
     rule defaults to oracle_rule(family, max index); pass one explicitly when
     sweeping many quadruples.
@@ -176,7 +178,7 @@ def oracle_coupling(family, n1, n2, n3, n4, rule=None):
     value = 2.0 * math.pi * i_time * _space_integral(family, quad, rule)
     imag = abs(value.imag) if isinstance(value, complex) else 0.0
     if imag >= 1e-10:
-        raise ValueError(
+        raise GridResolutionError(
             f"oracle imaginary residual {imag:.3e} for {family.label} {quad}; "
             "quadrature rule inadequate"
         )

@@ -26,9 +26,9 @@ from .basis import (
     build_laguerre_rule,
     build_quadrature,
     family_from_label,
-    hermite_functions,
     laguerre_weighted,
 )
+from .coupling import _hermite_product_table
 
 __all__ = [
     "CoefficientState",
@@ -214,26 +214,28 @@ class FlowKernel:
         return _dopri5(self.rhs, c, span, config, observer)
 
 
-# Dormand-Prince 5(4) tableau
-_DP_C = (0.2, 0.3, 0.8, 8.0 / 9.0, 1.0)
-_DP_A = (
-    (0.2,),
-    (3.0 / 40.0, 9.0 / 40.0),
-    (44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0),
-    (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
-    (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0),
-)
-_DP_B = (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0)
-# b - bhat: weights of the embedded error estimate (k7 = f(y_new) included)
-_DP_E = (
-    71.0 / 57600.0,
-    0.0,
-    -71.0 / 16695.0,
-    71.0 / 1920.0,
-    -17253.0 / 339200.0,
-    22.0 / 525.0,
-    -1.0 / 40.0,
-)
+# Dormand-Prince 5(4) tableau.  Row i of _DP_A gives stage i + 1 from stages
+# 0..i; its last row is b, so the seventh stage is f(c_new) (first same as
+# last).  _DP_E is b - bhat, the weights of the embedded error estimate.
+# Coefficients are stored as columns, which broadcast against the stages.
+_DP_A = np.array([
+    [0.2, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3.0 / 40.0, 9.0 / 40.0, 0.0, 0.0, 0.0, 0.0],
+    [44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0, 0.0, 0.0, 0.0],
+    [19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0, 0.0, 0.0],
+    [9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0, 0.0],
+    [35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0],
+])[:, :, None]
+_DP_E = np.array([71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0, -17253.0 / 339200.0,
+                  22.0 / 525.0, -1.0 / 40.0])[:, None]
+
+
+def _combine(column, stages):
+    """sum_j column[j] stages[j] over the first len(column) stages, added in
+    stage order on the float64 view: no BLAS call, so the bits depend on
+    neither the BLAS kernel nor the alignment."""
+    terms = column * stages[:len(column)].view(np.float64)
+    return np.add.reduce(terms, axis=0).view(np.complex128)
 
 
 def _error_norm(delta, c0, c1, rel_tol, abs_tol):
@@ -262,41 +264,32 @@ def _dopri5(fun, c, span, config, observer):
     t = 0.0
     t_end = span
     direction = 1.0 if span > 0 else -1.0
-    k = [None] * 7
-    k[0] = fun(c)
-    if not np.all(np.isfinite(k[0].view(np.float64))):
+    stages = np.empty((7, c.size), dtype=np.complex128)
+    stages[0] = fun(c)
+    if not np.all(np.isfinite(stages[0].view(np.float64))):
         raise NumericalError("state became non-finite: the right-hand side overflows at t=0")
     if observer is not None:
-        observer(t, c, k[0])
-    h = _initial_step(fun, c, k[0], direction, config.rel_tol, config.abs_tol, abs(span))
+        observer(t, c, stages[0].copy())
+    h = _initial_step(fun, c, stages[0], direction, config.rel_tol, config.abs_tol, abs(span))
     rejected = False
     while (t_end - t) * direction > 0:
         h = min(h, abs(t_end - t))
         if h < 16 * np.finfo(float).eps * max(abs(t), abs(t_end)) or h == 0.0:
             raise NumericalError(f"step size underflow at t={t:.6g}")
         hs = h * direction
-        for i in range(5):
-            acc = _DP_A[i][0] * k[0]
-            for j in range(1, i + 1):
-                acc = acc + _DP_A[i][j] * k[j]
-            k[i + 1] = fun(c + hs * acc)
-        c_new = c + hs * (
-            _DP_B[0] * k[0] + _DP_B[2] * k[2] + _DP_B[3] * k[3] + _DP_B[4] * k[4] + _DP_B[5] * k[5]
-        )
-        k[6] = fun(c_new)
+        for i, row in enumerate(_DP_A):
+            c_new = c + hs * _combine(row[:i + 1], stages)
+            stages[i + 1] = fun(c_new)
         if not np.all(np.isfinite(c_new.view(np.float64))):
             raise NumericalError(f"state became non-finite during step at t={t:.6g}")
-        delta = hs * (
-            _DP_E[0] * k[0] + _DP_E[2] * k[2] + _DP_E[3] * k[3] + _DP_E[4] * k[4]
-            + _DP_E[5] * k[5] + _DP_E[6] * k[6]
-        )
+        delta = hs * _combine(_DP_E, stages)
         err = _error_norm(delta, c, c_new, config.rel_tol, config.abs_tol)
         if err <= 1.0:
             t = t_end if abs(t_end - t) <= h * (1 + 1e-12) else t + hs
             c = c_new
-            k[0] = k[6]  # first stage of the next step equals the last of this one
+            stages[0] = stages[6]
             if observer is not None:
-                observer(t, c, k[0])
+                observer(t, c, stages[0].copy())
             factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.2)
             if rejected:
                 factor = min(factor, 1.0)
@@ -413,9 +406,7 @@ def _spacetime_l4_radial(coeffs):
 
 def _spacetime_l4_eigenspace(family, coeffs):
     N = family.level
-    rule = build_quadrature(2 * N + 5, scale=2.0)
-    x = rule.nodes
-    table = rule.weights ** 0.25 * np.exp(0.5 * x * x) * hermite_functions(np.arange(N + 1), x)
+    table = _hermite_product_table(N, build_quadrature(2 * N + 5, scale=2.0))
     F = (coeffs[:, None] * table).T @ table[::-1]
     total = float(np.sum((F.real ** 2 + F.imag ** 2) ** 2))
     return ((math.pi / 2.0) * total) ** 0.25

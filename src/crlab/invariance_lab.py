@@ -268,10 +268,10 @@ def recurrence_experiment(level, t_max, dt, n_samples, theta=0.1, seed=0):
     """
     if level < 0:
         raise ConfigError("level must be >= 0")
-    if not (t_max > 0 and 0 < dt <= t_max):
-        raise ConfigError("need 0 < dt <= t_max")
-    if theta <= 0:
-        raise ConfigError("theta must be positive")
+    if not 0 < dt <= t_max < math.inf:
+        raise ConfigError("need 0 < dt <= t_max < inf")
+    if not 0 < theta < math.inf:
+        raise ConfigError("theta must be positive and finite")
     family = eigenspace(level)
     spec = measures.MeasureSpec("eigenspace", family, level, seed=seed)
     kernel = FlowKernel(coupling.build_tensor(family, level), spec.projector)

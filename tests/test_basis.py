@@ -57,6 +57,19 @@ def test_hermite_orthonormality_by_quadrature():
     assert np.allclose(gram, np.eye(9), atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [160, 161, 300])
+def test_hermite_weights_match_mpmath_across_sizes(n):
+    # w_i = 2^{n-1} n! sqrt(pi) / (n^2 H_{n-1}(x_i)^2) at 60 digits on 25
+    # nodes, the two outermost included, where the weights are smallest
+    mpmath = pytest.importorskip("mpmath")
+    rule = build_quadrature(n)
+    with mpmath.workdps(60):
+        scale = 2 ** (n - 1) * mpmath.factorial(n) * mpmath.sqrt(mpmath.pi) / n ** 2
+        for i in np.unique(np.linspace(0, n - 1, 25).round().astype(int)):
+            exact = scale / mpmath.hermite(n - 1, mpmath.mpf(float(rule.nodes[i]))) ** 2
+            assert abs(mpmath.mpf(float(rule.weights[i])) / exact - 1) <= 1e-11
+
+
 def test_laguerre_weighted_orthonormality():
     # int_0^inf psi_j^{(a)} psi_k^{(a)} du = delta_jk; psi_j psi_k is u^a times
     # a polynomial of degree j + k times e^{-u}, which the 40-node rule integrates

@@ -198,6 +198,20 @@ def test_oracle_check_passes(workdir, capsys):
     assert doc["relative_spread"] < 1e-6
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["oracle-check", "--family", "hol", "--max-index", "-1"], "max_index"),
+    (["recurrence", "--level", "0", "--t-max", "1", "--dt", "0.5", "--samples", "2",
+      "--theta", "nan"], "theta"),
+    (["recurrence", "--level", "0", "--t-max", "1", "--dt", "0.5", "--samples", "2",
+      "--theta", "inf"], "theta"),
+    (["recurrence", "--level", "0", "--t-max", "inf", "--dt", "0.5", "--samples", "2"], "t_max"),
+])
+def test_out_of_range_inputs_exit_three_naming_the_key(workdir, capsys, argv, key):
+    assert run(argv + ["--out", "o.json"]) == 3
+    assert key in capsys.readouterr().err
+    assert not (workdir / "o.json").exists()
+
+
 def test_cauchy_single_mask_fails(workdir):
     # one mask equal to the cutoff: zero decay signal, verdict FAIL
     assert run(["cauchy", "--sigma", "1.5", "--n", "6", "--m-values", "6",

@@ -8,7 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
-from crlab.basis import HOLOMORPHIC, RADIAL, eigenspace, laguerre_weighted
+from crlab.basis import (
+    HOLOMORPHIC,
+    RADIAL,
+    GridResolutionError,
+    QuadratureRule,
+    eigenspace,
+    laguerre_weighted,
+    lp_norm,
+)
 from crlab.coupling import (
     CouplingTensor,
     alpha_hol,
@@ -103,6 +111,30 @@ def test_oracle_matches_closed_form_constant():
     assert spread < 1e-6
     assert count > 10
     assert constant == pytest.approx(4.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("level", [75, 76])
+def test_eigenspace_oracle_matches_exact_l4_norm(level):
+    # a mode paired with itself is 2 pi (pi/2) int |phi_k|^4 = pi^2 ||phi_k||_4^4;
+    # at level 76 the oracle's rule has 161 nodes
+    family = eigenspace(level)
+    for k in (0, level // 3, level):
+        exact = math.pi ** 2 * lp_norm(family, k, 4) ** 4
+        assert oracle_coupling(family, k, k, k, k) == pytest.approx(exact, rel=1e-12)
+
+
+def test_holomorphic_oracle_on_a_161_node_rule_matches_closed_form():
+    constant = proportionality_constant(4)[0]
+    value = oracle_coupling(HOLOMORPHIC, 0, 65, 23, 42, oracle_rule(HOLOMORPHIC, 76))
+    assert value == pytest.approx(alpha_hol(0, 65, 23, 42) * constant, rel=1e-10)
+
+
+def test_oracle_rule_failure_is_grid_resolution_error():
+    # shifted nodes break the rule's symmetry: int z e^{-2|x|^2} reads 1e-2 i
+    rule = oracle_rule(HOLOMORPHIC, 4)
+    shifted = QuadratureRule(rule.nodes + 0.01, rule.weights, rule.scale)
+    with pytest.raises(GridResolutionError, match="imaginary residual"):
+        oracle_coupling(HOLOMORPHIC, 1, 0, 0, 0, shifted)
 
 
 def test_oracle_coupling_radial_symmetry():

@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.special import gammaln
 
 from crlab import dynamics, kernels
-from crlab.basis import HOLOMORPHIC, RADIAL, eigenspace
+from crlab.basis import HOLOMORPHIC, RADIAL, eigenspace, lp_norm
 from crlab.coupling import CouplingTensor, alpha_hol, build_tensor
 from crlab.dynamics import (
     CoefficientState,
@@ -307,6 +307,18 @@ def test_spacetime_l4_holomorphic_matches_convolution_and_has_no_size_limit():
     short = random_state(HOLOMORPHIC, 100, seed=3)
     padded = CoefficientState(HOLOMORPHIC, np.concatenate((short.coeffs, np.zeros(100))))
     assert spacetime_l4(padded) == pytest.approx(spacetime_l4(short), rel=1e-13)
+
+
+@pytest.mark.parametrize("level", [77, 78])
+def test_spacetime_l4_eigenspace_mode_matches_exact_l4_norm(level):
+    # one mode carries one global phase, so its norm is (pi/2)^{1/4}
+    # ||phi_k||_4; at level 78 the rule has 161 nodes
+    family = eigenspace(level)
+    for k in (0, level // 3, level):
+        coeffs = np.zeros(level + 1, dtype=np.complex128)
+        coeffs[k] = 1.0
+        exact = (math.pi / 2.0) ** 0.25 * lp_norm(family, k, 4)
+        assert spacetime_l4(CoefficientState(family, coeffs)) == pytest.approx(exact, rel=1e-12)
 
 
 def test_spacetime_l4_families_agree_on_shared_mode():
